@@ -6,6 +6,13 @@ records a backward closure on the active Graph. ``backward`` replays the
 tape in exact reverse recording order, accumulating gradients into every
 tensor that requires them. ``grad_check`` verifies any recorded computation
 against central finite differences.
+
+Gradients are dense arrays shaped like their tensors, allocated on first
+use and accumulated until ``zero_grads``. The one exception to writing a
+full-size gradient per op is ``embedding_lookup``: its backward scatters
+only the rows a lookup read into the table's gradient, so a table's
+gradient is one dense buffer per ``zero_grads`` round (a training batch),
+however many lookups feed it.
 """
 
 from __future__ import annotations
@@ -347,22 +354,6 @@ def relu(x: Tensor) -> Tensor:
     return _make(y, (x,), backward_fn, "relu")
 
 
-_ELEMENTWISE = {}
-
-
-def elementwise(kind: str, *operands) -> Tensor:
-    """Dispatch by kind name: add, sub, mul, div, tanh, sigmoid, relu, scale."""
-    try:
-        fn = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind {kind!r}") from None
-    return fn(*operands)
-
-
-_ELEMENTWISE.update(add=add, sub=sub, mul=mul, div=div,
-                    tanh=tanh, sigmoid=sigmoid, relu=relu, scale=scale)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -418,24 +409,23 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
     return _make(out_data, (x,), backward_fn, "max_over_axis")
 
 
-_REDUCE = {"sum": reduce_sum, "mean": reduce_mean, "max_over_axis": max_over_axis}
-
-
-def reduce(kind: str, x: Tensor, axis=None) -> Tensor:
-    try:
-        fn = _REDUCE[kind]
-    except KeyError:
-        raise ValueError(f"unknown reduce kind {kind!r}") from None
-    if kind == "max_over_axis":
-        return fn(x, axis)
-    return fn(x, axis=axis)
-
-
 # ---------------------------------------------------------------------------
 # gather / scatter and structural ops
 # ---------------------------------------------------------------------------
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
+    """Rows ``ids`` of a rank-2 table, as an ``[len(ids), e]`` tensor.
+
+    The backward pass coalesces repeated ids once (a dict over the id list:
+    at sentence length ``np.unique`` costs more than the scatter itself),
+    sums their upstream rows in lookup order into a ``[distinct ids, e]``
+    block, and adds that block into the rows of ``table.grad``.
+    ``table.grad`` is allocated dense on the first backward after
+    ``zero_grads``, so every lookup of a batch shares that one buffer. The
+    result is bit-identical to adding a full table-sized scatter per
+    lookup: each row sums in the same order, and such a scatter only adds
+    ``+0.0`` to the rows a lookup did not read.
+    """
     if table.data.ndim != 2:
         raise DimensionError(f"embedding table must be rank-2, got {table.shape}")
     ids = [int(i) for i in ids]
@@ -447,11 +437,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out_data = table.data[idx] if ids else np.zeros((0, table.shape[1]))
 
     def backward_fn(out):
-        if not table.requires_grad:
-            return
-        g = np.zeros_like(table.data)
-        np.add.at(g, idx, out.grad)
-        _accumulate(table, g)
+        # row of block that each id sums into, distinct ids in first-seen order
+        block_row = {}
+        inverse = [block_row.setdefault(i, len(block_row)) for i in ids]
+        block = np.zeros((len(block_row), table.shape[1]))
+        np.add.at(block, inverse, out.grad)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        table.grad[list(block_row)] += block
 
     return _make(out_data, (table,), backward_fn, "embedding_lookup")
 

@@ -21,8 +21,9 @@ from . import __version__
 from . import autodiff as ad
 from .encoders import EncoderConfig
 from .evaluation import (
-    evaluate_attribution,
-    evaluate_model,
+    attribution_score,
+    predict_corpus,
+    prediction_report,
     render_report,
     report_to_dict,
 )
@@ -261,7 +262,9 @@ def cmd_eval(args) -> int:
     if args.kind and args.kind != model.kind:
         raise UsageError(f"checkpoint is a {model.kind} model, not {args.kind}")
     docs = _load_split(data_dir, args.split, vocab, aspect_names)
-    report = evaluate_model(model, docs, aspect_names)
+    # one prediction pass feeds both the metrics and attribution accuracy
+    rows, attributions = predict_corpus(model, docs)
+    report = prediction_report(model.kind, rows, docs, aspect_names)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -277,7 +280,7 @@ def cmd_eval(args) -> int:
             labels_by_id[str(rec["doc_id"])] = rec.get("sentence_labels") or []
         gold = [labels_by_id.get(doc.doc_id, ["unlabeled"] * doc.n_sentences) for doc in docs]
         try:
-            acc = evaluate_attribution(model, docs, aspect_names, gold)
+            acc = attribution_score(attributions, aspect_names, gold)
             payload["attribution_accuracy"] = round(acc, 6)
             text += f"[attribution]\n  accuracy: {acc:.6f}\n"
         except ValueError:

@@ -150,26 +150,37 @@ def predict_corpus(model, docs):
     return rows, attributions
 
 
-def evaluate_model(model, docs, aspect_names) -> MetricReport:
-    rows, _ = predict_corpus(model, docs)
+def prediction_report(kind: str, rows, docs, aspect_names) -> MetricReport:
+    """Metrics of ``predict_corpus`` rows against the documents' ratings."""
     golds = [[doc.overall_rating] + list(doc.aspect_ratings) for doc in docs]
     names = ["overall"] + list(aspect_names)
-    if model.kind == "classification":
+    if kind == "classification":
         return classification_metrics(rows, golds, names)
     return regression_metrics(rows, golds, names)
 
 
-def evaluate_attribution(model, docs, aspect_names, gold_label_lists) -> float:
+def attribution_score(attributions, aspect_names, gold_label_lists) -> float:
+    """Attribution accuracy of ``predict_corpus`` attributions against gold
+    sentence labels; each document is scored over the sentences both cover."""
     predicted = []
     golds = []
-    for doc, gold in zip(docs, gold_label_lists):
-        _, attribution = model.predict(doc.sentences)
+    for attribution, gold in zip(attributions, gold_label_lists):
         labels = [label for label, _ in extract_attribution(attribution, aspect_names)]
         labels = [NONE_LABEL if l == "overall" else l for l in labels]
         n = min(len(labels), len(gold))
         predicted.extend(labels[:n])
         golds.extend(gold[:n])
     return attribution_accuracy(predicted, golds)
+
+
+def evaluate_model(model, docs, aspect_names) -> MetricReport:
+    rows, _ = predict_corpus(model, docs)
+    return prediction_report(model.kind, rows, docs, aspect_names)
+
+
+def evaluate_attribution(model, docs, aspect_names, gold_label_lists) -> float:
+    _, attributions = predict_corpus(model, docs)
+    return attribution_score(attributions, aspect_names, gold_label_lists)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ and training stops once ``patience`` epochs pass without improvement.
 Everything is driven by one seed, so equal configs produce byte-identical
 checkpoints.
 
-Checkpoint wire format (little-endian): magic ``SAAMCKPT``, u32 format
-version, u32 config-blob length + UTF-8 JSON blob, 32-byte vocabulary
-hash, u32 entry count, then per entry: u32 name length + name, u32 rank,
-u32 per dimension, and the row-major float64 values.
+Checkpoint wire format, version 2 (little-endian): magic ``SAAMCKPT``, u32
+format version, u32 config-blob length + UTF-8 JSON blob, 32-byte
+vocabulary hash, u32 best epoch, f64 best dev loss, u32 entry count, then
+per entry: u32 name length + name, u32 rank, u32 per dimension, and the
+row-major float64 values. Version 1 lacked the best epoch and best dev
+loss; loading it raises ``CheckpointVersionError``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .heads import HeadConfig
 from .model import SaamModel
 
 CHECKPOINT_MAGIC = b"SAAMCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -187,18 +189,38 @@ class Adam:
         self.t = 0
 
     def step(self) -> None:
+        """One dense Adam update of every parameter that has a gradient.
+
+        ``m``, ``v`` and the parameters are updated in place through two
+        scratch buffers, in the operation order of
+        ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+        ``p -= lr*(m/b1t) / (sqrt(v/b2t) + eps)``, so the result is
+        bit-identical to evaluating those expressions. Every ufunc gets an
+        ``out=`` array: on a 0-d operand it would otherwise return a scalar.
+        """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[name] / b1t
-            v_hat = self.v[name] / b2t
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = p.grad, self.m[name], self.v[name]
+            step = np.empty_like(m)
+            denom = np.empty_like(v)
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1.0 - self.beta1, out=step)
+            np.add(m, step, out=m)
+            np.multiply(g, g, out=denom)
+            np.multiply(denom, 1.0 - self.beta2, out=denom)
+            np.multiply(v, self.beta2, out=v)
+            np.add(v, denom, out=v)
+            np.divide(m, b1t, out=step)
+            np.multiply(step, self.lr, out=step)
+            np.divide(v, b2t, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, self.eps, out=denom)
+            np.divide(step, denom, out=step)
+            np.subtract(p.data, step, out=p.data)
 
 
 def make_optimizer(kind: str, params: dict, lr: float):
@@ -328,6 +350,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         f.write(struct.pack("<I", len(config_blob)))
         f.write(config_blob)
         f.write(checkpoint.vocab_hash)
+        f.write(struct.pack("<Id", checkpoint.best_epoch, checkpoint.best_dev_loss))
         f.write(struct.pack("<I", len(checkpoint.entries)))
         for name, arr in checkpoint.entries:
             name_bytes = name.encode("utf-8")
@@ -369,6 +392,7 @@ def load_checkpoint(path, expect_vocab_hash: bytes | None = None) -> Checkpoint:
         raise VocabularyHashError(
             f"{path}: checkpoint was built against a different vocabulary "
             f"(hash {vocab_hash.hex()[:12]}... != expected {expect_vocab_hash.hex()[:12]}...)")
+    best_epoch, best_dev_loss = struct.unpack("<Id", take(12, "best epoch and dev loss"))
     n_entries = struct.unpack("<I", take(4, "entry count"))[0]
     entries = []
     for _ in range(n_entries):
@@ -381,4 +405,5 @@ def load_checkpoint(path, expect_vocab_hash: bytes | None = None) -> Checkpoint:
         entries.append((name, data.astype(np.float64)))
     if pos != len(view):
         raise CorruptCheckpointError(f"{path}: {len(view) - pos} trailing bytes")
-    return Checkpoint(version=version, config=config, vocab_hash=vocab_hash, entries=entries)
+    return Checkpoint(version=version, config=config, vocab_hash=vocab_hash, entries=entries,
+                      best_epoch=best_epoch, best_dev_loss=best_dev_loss)

@@ -1,8 +1,11 @@
-"""Independent brute-force reimplementations of the prediction heads.
+"""Independent reference implementations the package code is checked against.
 
-These oracles compute everything with explicit python loops over
+The head oracles compute everything with explicit python loops over
 sentences, attribution slots, and classes; no outer products, no matrix
-aggregation. They stay deliberately separate from the package code so
+aggregation. The embedding lookup and Adam step oracles are the plain
+allocating forms of those two training-path operations: a table-sized
+gradient scatter per lookup, and an Adam update that builds a new array
+per expression. They stay deliberately separate from the package code so
 the two routes can disagree.
 """
 
@@ -84,3 +87,32 @@ def weighted_average_oracle(u_rows, params, config):
     total = sum(float(np.dot(w_o[i], u_rows[i])) for i in range(n))
     overall = (total + float(b_o)) / n
     return overall, per_aspect
+
+
+def dense_scatter_embedding_lookup(table, ids):
+    """``ad.embedding_lookup`` with a table-sized gradient scatter per lookup."""
+    idx = np.asarray([int(i) for i in ids], dtype=np.intp)
+    out_data = table.data[idx] if idx.size else np.zeros((0, table.shape[1]))
+
+    def backward_fn(out):
+        g = np.zeros_like(table.data)
+        np.add.at(g, idx, out.grad)
+        ad._accumulate(table, g)
+
+    return ad._make(out_data, (table,), backward_fn, "embedding_lookup")
+
+
+def allocating_adam_step(opt):
+    """``Adam.step`` written as whole-array expressions, each allocating its result."""
+    opt.t += 1
+    b1t = 1.0 - opt.beta1 ** opt.t
+    b2t = 1.0 - opt.beta2 ** opt.t
+    for name, p in opt.params.items():
+        if p.grad is None:
+            continue
+        g = p.grad
+        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
+        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * (g * g)
+        m_hat = opt.m[name] / b1t
+        v_hat = opt.v[name] / b2t
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)

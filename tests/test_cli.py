@@ -3,6 +3,7 @@ import json
 import pytest
 
 from saam.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from saam.model import SaamModel
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,23 @@ class TestEval:
         payload = json.loads((out / "report-test.json").read_text())
         assert payload["attribution_accuracy"] is not None
         assert payload["attribution_accuracy"] > 0.9
+
+    def test_attribution_labels_share_one_prediction_pass(self, workspace, monkeypatch):
+        calls = []
+        predict = SaamModel.predict
+
+        def counting_predict(model, sentences):
+            calls.append(sentences)
+            return predict(model, sentences)
+
+        monkeypatch.setattr(SaamModel, "predict", counting_predict)
+        out = workspace["root"] / "eval-once"
+        assert main(["eval", "--checkpoint", str(workspace["ckpt"]), "--data",
+                     str(workspace["data"]), "--split", "test", "--out", str(out),
+                     "--attribution-labels", str(workspace["data"] / "test.jsonl")]) == EXIT_OK
+        n_docs = json.loads((out / "report-test.json").read_text())["n_documents"]
+        assert n_docs > 0
+        assert len(calls) == n_docs
 
     def test_zero_labeled_sentences_marked_na(self, workspace, tmp_path):
         labels = tmp_path / "labels.jsonl"

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from saam.training import (
     save_checkpoint,
     train,
 )
+
+from oracles import allocating_adam_step, dense_scatter_embedding_lookup
 
 
 def synthetic_docs(n_aspects=2, n_docs=40, seed=0, **kwargs):
@@ -131,6 +134,32 @@ class TestOptimizers:
         Adam({"p": p}, lr=0.01).step()
         assert_allclose(p.data, [1.0 - 0.01], atol=1e-6)
 
+    def test_adam_in_place_bit_identical_to_allocating_step(self):
+        rng = np.random.default_rng(9)
+        shapes = {"b": (), "u": (5,), "w": (4, 3)}
+        init = {k: rng.normal(size=s) for k, s in shapes.items()}
+        grads = [{k: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=s)
+                  for k, s in shapes.items()} for _ in range(6)]
+        grads[3]["u"] = None  # a parameter without a gradient this step
+
+        def run(step):
+            params = {k: ad.parameter(v.copy()) for k, v in init.items()}
+            opt = Adam(params, lr=0.03)
+            for g in grads:
+                for k, p in params.items():
+                    p.grad = None if g[k] is None else g[k].copy()
+                step(opt)
+            return opt
+
+        fast = run(Adam.step)
+        slow = run(allocating_adam_step)
+        for k in shapes:
+            assert np.array_equal(fast.params[k].data, slow.params[k].data)
+            assert np.array_equal(fast.m[k], slow.m[k])
+            assert np.array_equal(fast.v[k], slow.v[k])
+            assert isinstance(fast.m[k], np.ndarray) and fast.m[k].shape == shapes[k]
+            assert isinstance(fast.params[k].data, np.ndarray)
+
     def test_clip_gradients(self):
         p = ad.parameter(np.zeros(4))
         p.grad = np.full(4, 10.0)
@@ -219,6 +248,34 @@ class TestTrainLoop:
         truncated, _ = model.predict([s[:2] for s in doc.sentences])
         assert float(full.overall.data) == float(truncated.overall.data)
 
+    @pytest.mark.parametrize("encoder_kind", ["mean", "cnn", "gru"])
+    @pytest.mark.parametrize("variant", ["C1", "C2", "R"])
+    def test_bit_identical_to_allocating_oracles(self, encoder_kind, variant, tmp_path,
+                                                 monkeypatch):
+        records = generate_synthetic_corpus(n_aspects=2, n_docs=14, seed=11)
+        aspects = aspect_names_from_records(records)
+        # unused types give the table rows no lookup reads, which dense Adam still moves
+        vocab = build_vocabulary([s for rec in records for s in rec["sentences"]]
+                                 + [" ".join(f"unused{k}" for k in range(40))])
+        docs = docs_from_records(records, vocab, aspects)
+        encoder = EncoderConfig(encoder_kind, vocab_size=vocab.size, embedding_dim=6,
+                                gru_hidden=5, cnn_filters_per_width=3)
+        config = TrainConfig(variant=variant, encoder=encoder, n_aspects=2, s_max=2, t_max=6,
+                             lr=0.05, batch_size=4, max_epochs=2, patience=2, seed=3,
+                             grad_clip=0.5)
+        splits = {"train": docs[:10], "dev": docs[10:]}
+
+        def checkpoint_bytes(name):
+            checkpoint, _ = train(config, splits, vocab_hash=vocab.content_hash())
+            path = tmp_path / name
+            save_checkpoint(checkpoint, path)
+            return path.read_bytes()
+
+        fast = checkpoint_bytes("fast.ckpt")
+        monkeypatch.setattr(ad, "embedding_lookup", dense_scatter_embedding_lookup)
+        monkeypatch.setattr(Adam, "step", allocating_adam_step)
+        assert checkpoint_bytes("oracle.ckpt") == fast
+
     def test_classification_training_runs(self):
         docs, vocab, _ = synthetic_docs(n_docs=12, seed=6)
         encoder = EncoderConfig("mean", vocab_size=vocab.size, embedding_dim=8)
@@ -255,6 +312,31 @@ class TestCheckpointIO:
             assert float(a.overall.data) == float(b.overall.data)
             for x, y in zip(a.per_aspect, b.per_aspect):
                 assert float(x.data) == float(y.data)
+
+    def test_roundtrip_keeps_best_epoch_and_dev_loss(self, tmp_path):
+        docs, vocab, _ = synthetic_docs(n_docs=16, seed=2)
+        config = mean_r_config(vocab, max_epochs=4, patience=4)
+        checkpoint, history = train(config, {"train": docs[:12], "dev": docs[12:]})
+        best = min(history, key=lambda h: h["dev_loss"])
+        assert (checkpoint.best_epoch, checkpoint.best_dev_loss) == (best["epoch"], best["dev_loss"])
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, path)
+        loaded = load_checkpoint(path)
+        assert loaded.version == 2
+        assert loaded.best_epoch == checkpoint.best_epoch
+        assert loaded.best_dev_loss == checkpoint.best_dev_loss
+
+    def test_version_1_file_rejected_naming_both_versions(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self.make_checkpoint(), path)
+        blob = path.read_bytes()
+        config_len = struct.unpack("<I", blob[12:16])[0]
+        fields_at = 16 + config_len + 32  # after the vocabulary hash
+        # version 1 had no best-epoch / best-dev-loss fields
+        v1 = blob[:8] + struct.pack("<I", 1) + blob[12:fields_at] + blob[fields_at + 12:]
+        path.write_bytes(v1)
+        with pytest.raises(CheckpointVersionError, match=r"version 1\b.*reads 2"):
+            load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "model.ckpt"
