@@ -31,6 +31,7 @@ from .heads import extract_attribution, sentence_scalar_scores
 from .selftest import run_selftest
 from .snippets import extract_snippets, snippet_record
 from .text import (
+    AspectSet,
     CorpusError,
     KEYWORD_SCHEMES,
     ReviewDocument,
@@ -210,13 +211,15 @@ def _load_train_config(path, data_dir: Path, overrides: dict) -> tuple:
     return config, vocab, aspect_names
 
 
+def _corpus_docs(path, vocab, aspect_names):
+    return docs_from_records(read_corpus(path), vocab, AspectSet(tuple(aspect_names)))
+
+
 def _load_split(data_dir: Path, name: str, vocab, aspect_names):
-    from .text import AspectSet
     path = Path(data_dir) / f"{name}.jsonl"
     if not path.exists():
         raise CorpusError(f"missing split file {path}")
-    records = read_corpus(path)
-    return docs_from_records(records, vocab, AspectSet(tuple(aspect_names)))
+    return _corpus_docs(path, vocab, aspect_names)
 
 
 def cmd_train(args) -> int:
@@ -251,6 +254,14 @@ def _model_from_checkpoint(path, vocab: Vocabulary | None):
     expect = vocab.content_hash() if vocab is not None else None
     checkpoint = load_checkpoint(path, expect_vocab_hash=expect)
     return checkpoint, checkpoint.build_model()
+
+
+def _load_corpus_inputs(args):
+    """(model, aspect names, documents) for the attribute and snippets commands."""
+    vocab = Vocabulary.load(args.vocab)
+    _, model = _model_from_checkpoint(args.checkpoint, vocab)
+    aspect_names = json.loads(Path(args.aspects).read_text(encoding="utf-8"))
+    return model, aspect_names, _corpus_docs(args.corpus, vocab, aspect_names)
 
 
 def cmd_eval(args) -> int:
@@ -303,12 +314,7 @@ def cmd_eval(args) -> int:
 
 def cmd_attribute(args) -> int:
     started = time.monotonic()
-    vocab = Vocabulary.load(args.vocab)
-    checkpoint, model = _model_from_checkpoint(args.checkpoint, vocab)
-    aspect_names = json.loads(Path(args.aspects).read_text(encoding="utf-8"))
-    from .text import AspectSet
-    records = read_corpus(args.corpus)
-    docs = docs_from_records(records, vocab, AspectSet(tuple(aspect_names)))
+    model, aspect_names, docs = _load_corpus_inputs(args)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     n_sentences = 0
@@ -344,17 +350,12 @@ def cmd_attribute(args) -> int:
 
 def cmd_snippets(args) -> int:
     started = time.monotonic()
-    vocab = Vocabulary.load(args.vocab)
-    checkpoint, model = _model_from_checkpoint(args.checkpoint, vocab)
-    aspect_names = json.loads(Path(args.aspects).read_text(encoding="utf-8"))
+    model, aspect_names, docs = _load_corpus_inputs(args)
     if args.aspect not in aspect_names:
         raise UsageError(f"unknown aspect {args.aspect!r}; known: {aspect_names}")
     if model.kind == "classification" and not args.expected_value_proxy:
         raise UsageError("snippets need a regression checkpoint; pass "
                          "--expected-value-proxy to use expected class values instead")
-    from .text import AspectSet
-    records = read_corpus(args.corpus)
-    docs = docs_from_records(records, vocab, AspectSet(tuple(aspect_names)))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     n_snippets = 0

@@ -34,7 +34,6 @@ class EncoderConfig:
     cnn_filter_widths: tuple = (3, 4, 5)
     cnn_filters_per_width: int = 100
     gru_hidden: int | None = None
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
@@ -42,8 +41,6 @@ class EncoderConfig:
         self.cnn_filter_widths = tuple(self.cnn_filter_widths)
         if self.kind == "gru" and self.gru_hidden is None:
             self.gru_hidden = self.embedding_dim
-        if self.dropout != 0.0:
-            raise ValueError("dropout is exposed for configuration but only 0.0 is supported")
 
     @property
     def feature_dim(self) -> int:
@@ -58,11 +55,14 @@ class EncoderConfig:
                 "embedding_dim": self.embedding_dim,
                 "cnn_filter_widths": list(self.cnn_filter_widths),
                 "cnn_filters_per_width": self.cnn_filters_per_width,
-                "gru_hidden": self.gru_hidden, "dropout": self.dropout}
+                "gru_hidden": self.gru_hidden}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         d = dict(d)
+        # configs written before dropout was removed carry "dropout": 0.0
+        if d.pop("dropout", 0.0) != 0.0:
+            raise ValueError("dropout is not supported; only 0.0 is accepted")
         d["cnn_filter_widths"] = tuple(d.get("cnn_filter_widths", (3, 4, 5)))
         return cls(**d)
 

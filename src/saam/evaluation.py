@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heads import extract_attribution
+from .heads import OVERALL_SLOT_LABEL, extract_attribution
 from .text import NONE_LABEL, UNLABELED
 
 
@@ -142,10 +142,7 @@ def predict_corpus(model, docs):
     attributions = []
     for doc in docs:
         preds, attribution = model.predict(doc.sentences)
-        if model.kind == "classification":
-            rows.append([preds.overall.data.copy()] + [t.data.copy() for t in preds.per_aspect])
-        else:
-            rows.append([float(preds.overall.data)] + [float(t.data) for t in preds.per_aspect])
+        rows.append([preds.overall_value()] + preds.aspect_values())
         attributions.append(attribution)
     return rows, attributions
 
@@ -166,7 +163,7 @@ def attribution_score(attributions, aspect_names, gold_label_lists) -> float:
     golds = []
     for attribution, gold in zip(attributions, gold_label_lists):
         labels = [label for label, _ in extract_attribution(attribution, aspect_names)]
-        labels = [NONE_LABEL if l == "overall" else l for l in labels]
+        labels = [NONE_LABEL if l == OVERALL_SLOT_LABEL else l for l in labels]
         n = min(len(labels), len(gold))
         predicted.extend(labels[:n])
         golds.extend(gold[:n])

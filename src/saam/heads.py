@@ -1,25 +1,25 @@
 """Prediction heads mapping sentence feature matrices to document outputs.
 
-Three attribution heads share one structure: a rating score layer (class
-scores or a scalar score per sentence), a softmax attribution layer that
-distributes each sentence's score over the aspects plus one or two extra
-slots, and an aggregation of the scaled scores into per-aspect document
-predictions. Variants:
+Every variant is one row of ``HEADS``: its task kind, the labels of the
+slots after the aspects, and whether the overall output comes from a dense
+layer or from slot |A|. One ``head_forward`` runs every row. An attribution
+variant has a rating score layer (class scores or a scalar score per
+sentence), a softmax attribution layer that distributes each sentence's
+score over the aspects plus the extra slots, and an aggregation of the
+scaled scores into per-slot document predictions:
 
-* C1 - classification; the overall distribution comes from a dedicated
-  fully connected layer over the flattened feature matrix; attribution has
-  |A|+1 slots, the extra one letting the model discard a sentence.
-* C2 - classification; no dedicated overall layer. Attribution has |A|+2
-  slots: slot |A| scales scores toward the overall prediction, slot |A|+1
-  is the discard slot.
-* R - regression; scalar scores. The overall score is a sentence-count
-  normalized linear form over the whole matrix; each aspect score is the
-  attribution-weighted average of the sentence scores (guarded by epsilon
-  against an aspect receiving no attribution mass).
+* C1 - classification; the overall distribution comes from a dense softmax
+  layer over the flattened feature matrix; the extra "none" slot lets the
+  model discard a sentence.
+* C2 - classification; slot |A| ("overall") aggregates toward the overall
+  prediction and slot |A|+1 ("none") is the discard slot.
+* R - regression; scalar scores. The overall score is a dense
+  sentence-count normalized linear form over the whole matrix; each aspect
+  score is the attribution-weighted average of the sentence scores
+  (guarded by epsilon against an aspect receiving no attribution mass).
 
-``flat-c``/``flat-r`` are ablation baselines with one independent linear
-head per target over the concatenated sentence features and no attribution
-mechanism.
+``flat-c``/``flat-r`` are ablation baselines without attribution: one dense
+output per rating, each the same computation as C1's or R's overall.
 
 Hard mask mode (default) drops padded sentence slots from every sum and
 from the sentence count; soft mode treats all slots as real so the model
@@ -36,12 +36,26 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .encoders import SentenceEmbeddingMatrix, xavier_uniform
 
-VARIANTS = ("C1", "C2", "R", "flat-c", "flat-r")
-CLASSIFICATION_VARIANTS = ("C1", "C2", "flat-c")
-REGRESSION_VARIANTS = ("R", "flat-r")
-
 NONE_SLOT_LABEL = "none"
 OVERALL_SLOT_LABEL = "overall"
+
+
+@dataclass(frozen=True)
+class HeadSpec:
+    kind: str                  # "classification" or "regression"
+    slot_labels: tuple | None  # labels of the slots after the aspects; None: no attribution
+    dense_overall: bool        # overall from a dense layer, else from slot |A|
+
+
+HEADS = {
+    "C1": HeadSpec("classification", (NONE_SLOT_LABEL,), dense_overall=True),
+    "C2": HeadSpec("classification", (OVERALL_SLOT_LABEL, NONE_SLOT_LABEL), dense_overall=False),
+    "R": HeadSpec("regression", (NONE_SLOT_LABEL,), dense_overall=True),
+    "flat-c": HeadSpec("classification", None, dense_overall=True),
+    "flat-r": HeadSpec("regression", None, dense_overall=True),
+}
+VARIANTS = tuple(HEADS)
+CLASSIFICATION_VARIANTS = tuple(v for v, spec in HEADS.items() if spec.kind == "classification")
 
 # An aspect whose total attribution mass falls below this is flagged: its
 # guarded weighted average is formally defined but carries no evidence.
@@ -71,14 +85,17 @@ class HeadConfig:
             raise ValueError(f"unknown attribution_mask_mode {self.attribution_mask_mode!r}")
 
     @property
+    def spec(self) -> HeadSpec:
+        return HEADS[self.variant]
+
+    @property
     def is_classification(self) -> bool:
-        return self.variant in CLASSIFICATION_VARIANTS
+        return self.spec.kind == "classification"
 
     @property
     def n_attribution_slots(self) -> int:
-        if self.variant == "C2":
-            return self.n_aspects + 2
-        return self.n_aspects + 1
+        """Aspects plus the extra slots (attribution variants only)."""
+        return self.n_aspects + len(self.spec.slot_labels or ())
 
     def to_dict(self) -> dict:
         return {"variant": self.variant, "n_aspects": self.n_aspects,
@@ -129,34 +146,33 @@ class AttributionResult:
         return self.aspect_dist.shape[0]
 
 
+def _dense_targets(config: HeadConfig) -> list:
+    """Names of the dense outputs: every rating for the flat baselines
+    (the overall first), the overall alone when the row says so."""
+    if config.spec.slot_labels is None:
+        return [f"flat{t}" for t in range(config.n_aspects + 1)]
+    return ["overall"] if config.spec.dense_overall else []
+
+
 def init_head_params(config: HeadConfig, rng: np.random.Generator) -> dict:
     d = config.feature_dim
     c = config.n_classes
     params = {}
-    if config.variant in ("C1", "C2", "R"):
+    if config.spec.slot_labels is not None:
         score_out = c if config.is_classification else 1
         k = config.n_attribution_slots
         params["head.w_score"] = ad.parameter(xavier_uniform(rng, d, score_out, (d, score_out)))
         params["head.b_score"] = ad.parameter(np.zeros(score_out))
         params["head.w_attr"] = ad.parameter(xavier_uniform(rng, d, k, (d, k)))
         params["head.b_attr"] = ad.parameter(np.zeros(k))
-    if config.variant == "C1":
-        flat = config.s_max * d
-        params["head.w_overall"] = ad.parameter(xavier_uniform(rng, flat, c, (flat, c)))
-        params["head.b_overall"] = ad.parameter(np.zeros((1, c)))
-    elif config.variant == "R":
-        params["head.w_overall"] = ad.parameter(xavier_uniform(rng, config.s_max, d, (config.s_max, d)))
-        params["head.b_overall"] = ad.parameter(np.zeros(()))
-    elif config.variant == "flat-c":
-        flat = config.s_max * d
-        for t in range(config.n_aspects + 1):  # slot 0 = overall
-            params[f"head.w_flat{t}"] = ad.parameter(xavier_uniform(rng, flat, c, (flat, c)))
-            params[f"head.b_flat{t}"] = ad.parameter(np.zeros((1, c)))
-    elif config.variant == "flat-r":
-        for t in range(config.n_aspects + 1):
-            params[f"head.w_flat{t}"] = ad.parameter(
-                xavier_uniform(rng, config.s_max, d, (config.s_max, d)))
-            params[f"head.b_flat{t}"] = ad.parameter(np.zeros(()))
+    for name in _dense_targets(config):
+        if config.is_classification:
+            flat = config.s_max * d
+            w, b = xavier_uniform(rng, flat, c, (flat, c)), np.zeros((1, c))
+        else:
+            w, b = xavier_uniform(rng, config.s_max, d, (config.s_max, d)), np.zeros(())
+        params[f"head.w_{name}"] = ad.parameter(w)
+        params[f"head.b_{name}"] = ad.parameter(b)
     return params
 
 
@@ -193,15 +209,6 @@ def _bias_rows(n: int, bias: Tensor) -> Tensor:
     return ad.outer(ad.constant(np.ones(n)), bias)
 
 
-def _score_and_attribution(u_real: Tensor, n: int, params: dict):
-    score = ad.add(ad.matmul(u_real, params["head.w_score"]),
-                   _bias_rows(n, params["head.b_score"]))
-    logits = ad.add(ad.matmul(u_real, params["head.w_attr"]),
-                    _bias_rows(n, params["head.b_attr"]))
-    aspect = ad.softmax_lastdim(logits)
-    return score, aspect
-
-
 def _attribution_result(aspect: Tensor, score: Tensor, config: HeadConfig) -> AttributionResult:
     a = aspect.data.copy()
     if config.is_classification:
@@ -213,91 +220,61 @@ def _attribution_result(aspect: Tensor, score: Tensor, config: HeadConfig) -> At
     return AttributionResult(a, s, scaled, config.variant)
 
 
-def head_c1_forward(u: SentenceEmbeddingMatrix, params: dict, config: HeadConfig):
-    u_real, n = _real_rows(u, config)
-    score, aspect = _score_and_attribution(u_real, n, params)
-    sums = ad.matmul(ad.transpose(aspect), score)        # [slots x |C|], slot |A| discarded
-    dists = ad.softmax_lastdim(sums)
-    per_aspect = [ad.reshape(ad.slice_rows(dists, j, j + 1), (config.n_classes,))
-                  for j in range(config.n_aspects)]
-    flat = ad.reshape(ad.pad_rows(u_real, config.s_max), (1, config.s_max * config.feature_dim))
-    overall_logits = ad.add(ad.matmul(flat, params["head.w_overall"]), params["head.b_overall"])
-    overall = ad.reshape(ad.softmax_lastdim(overall_logits), (config.n_classes,))
-    preds = PredictionSet("classification", overall, per_aspect)
-    return preds, _attribution_result(aspect, score, config)
-
-
-def head_c2_forward(u: SentenceEmbeddingMatrix, params: dict, config: HeadConfig):
-    u_real, n = _real_rows(u, config)
-    score, aspect = _score_and_attribution(u_real, n, params)
-    sums = ad.matmul(ad.transpose(aspect), score)        # [slots x |C|]
-    dists = ad.softmax_lastdim(sums)
-    per_aspect = [ad.reshape(ad.slice_rows(dists, j, j + 1), (config.n_classes,))
-                  for j in range(config.n_aspects)]
-    # slot |A| aggregates toward the overall rating; slot |A|+1 is discarded
-    overall = ad.reshape(ad.slice_rows(dists, config.n_aspects, config.n_aspects + 1),
-                         (config.n_classes,))
-    preds = PredictionSet("classification", overall, per_aspect)
-    return preds, _attribution_result(aspect, score, config)
-
-
-def head_r_forward(u: SentenceEmbeddingMatrix, params: dict, config: HeadConfig):
-    u_real, n = _real_rows(u, config)
-    score, aspect = _score_and_attribution(u_real, n, params)
-    numer = ad.reshape(ad.matmul(ad.transpose(aspect), score), (config.n_attribution_slots,))
-    mass = ad.reduce_sum(aspect, axis=0)
-    l_all = ad.div(numer, ad.add(mass, config.epsilon))
-    per_aspect = [ad.reshape(ad.slice_rows(l_all, j, j + 1), ())
-                  for j in range(config.n_aspects)]
-    u_full = ad.pad_rows(u_real, config.s_max)
-    inner = ad.add(ad.reduce_sum(ad.mul(params["head.w_overall"], u_full)),
-                   params["head.b_overall"])
-    overall = ad.scale(inner, 1.0 / n)
-    low = [j for j in range(config.n_aspects)
-           if float(mass.data[j]) < LOW_ATTRIBUTION_MASS]
-    preds = PredictionSet("regression", overall, per_aspect, low_attribution_aspects=low)
-    return preds, _attribution_result(aspect, score, config)
-
-
-def head_flat_forward(u: SentenceEmbeddingMatrix, params: dict, config: HeadConfig):
-    u_real, n = _real_rows(u, config)
-    u_full = ad.pad_rows(u_real, config.s_max)
-    outputs = []
-    if config.variant == "flat-c":
-        flat = ad.reshape(u_full, (1, config.s_max * config.feature_dim))
-        for t in range(config.n_aspects + 1):
-            logits = ad.add(ad.matmul(flat, params[f"head.w_flat{t}"]), params[f"head.b_flat{t}"])
-            outputs.append(ad.reshape(ad.softmax_lastdim(logits), (config.n_classes,)))
-        preds = PredictionSet("classification", outputs[0], outputs[1:])
-    else:
-        for t in range(config.n_aspects + 1):
-            inner = ad.add(ad.reduce_sum(ad.mul(params[f"head.w_flat{t}"], u_full)),
-                           params[f"head.b_flat{t}"])
-            outputs.append(ad.scale(inner, 1.0 / n))
-        preds = PredictionSet("regression", outputs[0], outputs[1:])
-    return preds, None
-
-
-_FORWARD = {"C1": head_c1_forward, "C2": head_c2_forward, "R": head_r_forward,
-            "flat-c": head_flat_forward, "flat-r": head_flat_forward}
+def _dense_target(x: Tensor, n: int, params: dict, name: str, config: HeadConfig) -> Tensor:
+    """Softmax layer over the flattened matrix ``x`` [1 x s_max*d], or a
+    sentence-count normalized linear form over the padded ``x`` [s_max x d]."""
+    w, b = params[f"head.w_{name}"], params[f"head.b_{name}"]
+    if config.is_classification:
+        logits = ad.add(ad.matmul(x, w), b)
+        return ad.reshape(ad.softmax_lastdim(logits), (config.n_classes,))
+    return ad.scale(ad.add(ad.reduce_sum(ad.mul(w, x)), b), 1.0 / n)
 
 
 def head_forward(u: SentenceEmbeddingMatrix, params: dict, config: HeadConfig):
-    return _FORWARD[config.variant](u, params, config)
+    """(PredictionSet, AttributionResult) for one document; the attribution
+    is None for the flat baselines."""
+    spec = config.spec
+    u_real, n = _real_rows(u, config)
+    slots, low, attribution = [], [], None
+    if spec.slot_labels is not None:
+        score = ad.add(ad.matmul(u_real, params["head.w_score"]),
+                       _bias_rows(n, params["head.b_score"]))
+        logits = ad.add(ad.matmul(u_real, params["head.w_attr"]),
+                        _bias_rows(n, params["head.b_attr"]))
+        aspect = ad.softmax_lastdim(logits)
+        sums = ad.matmul(ad.transpose(aspect), score)        # [slots x |C|] or [slots x 1]
+        if config.is_classification:
+            per_slot, shape = ad.softmax_lastdim(sums), (config.n_classes,)
+        else:
+            numer = ad.reshape(sums, (config.n_attribution_slots,))
+            mass = ad.reduce_sum(aspect, axis=0)
+            per_slot, shape = ad.div(numer, ad.add(mass, config.epsilon)), ()
+            low = [j for j in range(config.n_aspects)
+                   if float(mass.data[j]) < LOW_ATTRIBUTION_MASS]
+        # the aspect slots, then slot |A| when it carries the overall output;
+        # the remaining slots are discarded
+        n_out = config.n_aspects + (0 if spec.dense_overall else 1)
+        slots = [ad.reshape(ad.slice_rows(per_slot, j, j + 1), shape) for j in range(n_out)]
+        attribution = _attribution_result(aspect, score, config)
+    if spec.dense_overall:
+        x = ad.pad_rows(u_real, config.s_max)
+        if config.is_classification:
+            x = ad.reshape(x, (1, config.s_max * config.feature_dim))
+        dense = [_dense_target(x, n, params, name, config) for name in _dense_targets(config)]
+        overall, per_aspect = dense[0], dense[1:] + slots
+    else:
+        overall, per_aspect = slots[-1], slots[:-1]
+    return PredictionSet(spec.kind, overall, per_aspect, low_attribution_aspects=low), attribution
 
 
 def extract_attribution(result: AttributionResult, aspect_names) -> list:
     """Dominant-slot label and its probability for every real sentence.
 
-    The slot after the real aspects maps to "none" (C1/R) or "overall"
-    (C2, whose final slot is then "none"). Ties go to the lowest index.
+    The slots after the real aspects take the variant's ``HEADS`` labels.
+    Ties go to the lowest index.
     """
     n_aspects = len(aspect_names)
-    labels = list(aspect_names)
-    if result.variant == "C2":
-        labels += [OVERALL_SLOT_LABEL, NONE_SLOT_LABEL]
-    else:
-        labels += [NONE_SLOT_LABEL]
+    labels = list(aspect_names) + list(HEADS[result.variant].slot_labels)
     if result.aspect_dist.shape[1] != len(labels):
         raise ad.DimensionError(
             f"attribution has {result.aspect_dist.shape[1]} slots but {n_aspects} aspects "

@@ -32,7 +32,7 @@ class SaamModel:
 
     @property
     def kind(self) -> str:
-        return "classification" if self.head_config.is_classification else "regression"
+        return self.head_config.spec.kind
 
     def forward(self, sentences):
         """Run one document (a list of token-id sentences) through the model."""

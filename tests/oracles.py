@@ -1,8 +1,8 @@
 """Independent reference implementations the package code is checked against.
 
 The head oracles compute everything with explicit python loops over
-sentences, attribution slots, and classes; no outer products, no matrix
-aggregation. The embedding lookup and Adam step oracles are the plain
+sentences, attribution slots, features, and classes; no outer products, no
+matrix aggregation. The embedding lookup and Adam step oracles are the plain
 allocating forms of those two training-path operations: a table-sized
 gradient scatter per lookup, and an Adam update that builds a new array
 per expression. They stay deliberately separate from the package code so
@@ -87,6 +87,26 @@ def weighted_average_oracle(u_rows, params, config):
     total = sum(float(np.dot(w_o[i], u_rows[i])) for i in range(n))
     overall = (total + float(b_o)) / n
     return overall, per_aspect
+
+
+def flat_loop_oracle(u_rows, params, config):
+    """Flat baselines: one dense output per rating, summed with explicit loops
+    over sentences, features and classes (the overall output first)."""
+    n = len(u_rows)
+    d = config.feature_dim
+    outputs = []
+    for t in range(config.n_aspects + 1):
+        w, b = params[f"head.w_flat{t}"].data, params[f"head.b_flat{t}"].data
+        if config.variant == "flat-c":
+            # row i of the flattened matrix holds sentence i's features; pads add zero
+            logits = np.array([sum(u_rows[i][x] * w[i * d + x, cc]
+                                   for i in range(n) for x in range(d)) + b[0, cc]
+                               for cc in range(config.n_classes)])
+            outputs.append(softmax_np(logits))
+        else:
+            total = sum(u_rows[i][x] * w[i, x] for i in range(n) for x in range(d))
+            outputs.append((total + float(b)) / n)
+    return outputs[0], outputs[1:]
 
 
 def dense_scatter_embedding_lookup(table, ids):

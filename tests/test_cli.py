@@ -123,6 +123,15 @@ class TestTrain:
                      "--out", str(tmp_path / "x.ckpt")]) == EXIT_USAGE
         assert "learning_rate" in capsys.readouterr().err
 
+    def test_nonzero_dropout_is_usage_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"variant": "R", "s_max": 4,
+                                   "encoder": {"kind": "mean", "embedding_dim": 8,
+                                               "dropout": 0.5}}))
+        assert main(["train", "--config", str(bad), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "x.ckpt")]) == EXIT_USAGE
+        assert "dropout" in capsys.readouterr().err
+
     def test_rerun_same_seed_identical_checkpoint(self, workspace, tmp_path):
         outs = []
         for name in ("r1.ckpt", "r2.ckpt"):

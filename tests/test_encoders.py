@@ -49,8 +49,14 @@ class TestConfig:
             EncoderConfig("bert", vocab_size=10, embedding_dim=4)
 
     def test_dropout_unsupported(self):
-        with pytest.raises(ValueError):
-            EncoderConfig("cnn", vocab_size=10, embedding_dim=4, dropout=0.5)
+        d = EncoderConfig("cnn", vocab_size=10, embedding_dim=4).to_dict()
+        with pytest.raises(ValueError, match="dropout"):
+            EncoderConfig.from_dict({**d, "dropout": 0.5})
+
+    def test_zero_dropout_entry_dropped(self):
+        # configs written before the field was removed carry "dropout": 0.0
+        cfg = config_for("cnn")
+        assert EncoderConfig.from_dict({**cfg.to_dict(), "dropout": 0.0}) == cfg
 
     def test_roundtrip_dict(self):
         cfg = config_for("cnn")

@@ -5,16 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from saam import autodiff as ad
-from saam.encoders import SentenceEmbeddingMatrix
+from saam.encoders import SentenceEmbeddingMatrix, xavier_uniform
 from saam.heads import (
     AttributionResult,
     HeadConfig,
     extract_attribution,
-    head_c1_forward,
-    head_c2_forward,
-    head_flat_forward,
     head_forward,
-    head_r_forward,
     init_head_params,
     sentence_scalar_scores,
 )
@@ -22,6 +18,7 @@ from saam.heads import (
 
 from oracles import (
     embed,
+    flat_loop_oracle,
     loop_oracle_classification,
     random_head_instance as random_instance,
     softmax_np,
@@ -36,6 +33,21 @@ class TestHeadConfig:
         assert mk("C2").n_attribution_slots == 5
         assert mk("R").n_attribution_slots == 4
 
+    @pytest.mark.parametrize("variant,extra", [("C1", ["none"]), ("C2", ["overall", "none"]),
+                                               ("R", ["none"])])
+    def test_attribution_slots_match_extract_labels(self, variant, extra):
+        config = HeadConfig(variant, n_aspects=2, feature_dim=4, s_max=3)
+        k = config.n_attribution_slots
+        # one sentence per slot, all of its mass on that slot
+        result = AttributionResult(np.eye(k), np.zeros(k), np.zeros((k, k)), variant)
+        labels = [label for label, _ in extract_attribution(result, ["Room", "Service"])]
+        assert labels == ["Room", "Service"] + extra
+        for wrong in (k - 1, k + 1):
+            result = AttributionResult(np.eye(wrong), np.zeros(wrong), np.zeros((wrong, wrong)),
+                                       variant)
+            with pytest.raises(ad.DimensionError):
+                extract_attribution(result, ["Room", "Service"])
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
             HeadConfig("C3", n_aspects=2, feature_dim=4, s_max=2)
@@ -43,6 +55,45 @@ class TestHeadConfig:
     def test_roundtrip(self):
         cfg = HeadConfig("R", n_aspects=2, feature_dim=4, s_max=3, epsilon=1e-6)
         assert HeadConfig.from_dict(cfg.to_dict()) == cfg
+
+
+class TestInitHeadParams:
+    # checkpoint entry layout at n_aspects=2, d=4, s_max=3, n_classes=5
+    LAYOUT = {
+        "C1": [("head.w_score", (4, 5)), ("head.b_score", (5,)), ("head.w_attr", (4, 3)),
+               ("head.b_attr", (3,)), ("head.w_overall", (12, 5)), ("head.b_overall", (1, 5))],
+        "C2": [("head.w_score", (4, 5)), ("head.b_score", (5,)), ("head.w_attr", (4, 4)),
+               ("head.b_attr", (4,))],
+        "R": [("head.w_score", (4, 1)), ("head.b_score", (1,)), ("head.w_attr", (4, 3)),
+              ("head.b_attr", (3,)), ("head.w_overall", (3, 4)), ("head.b_overall", ())],
+        "flat-c": [entry for t in range(3)
+                   for entry in ((f"head.w_flat{t}", (12, 5)), (f"head.b_flat{t}", (1, 5)))],
+        "flat-r": [entry for t in range(3)
+                   for entry in ((f"head.w_flat{t}", (3, 4)), (f"head.b_flat{t}", ()))],
+    }
+
+    @staticmethod
+    def init(variant):
+        config = HeadConfig(variant, n_aspects=2, feature_dim=4, s_max=3, n_classes=5)
+        return init_head_params(config, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("variant", list(LAYOUT))
+    def test_names_in_order_and_shapes(self, variant):
+        params = self.init(variant)
+        assert [(name, p.shape) for name, p in params.items()] == self.LAYOUT[variant]
+
+    @pytest.mark.parametrize("variant", list(LAYOUT))
+    def test_xavier_draws_in_entry_order(self, variant):
+        # each weight is one Xavier draw with fans equal to its shape, in
+        # entry order; biases start at zero and draw nothing
+        params = self.init(variant)
+        replay = np.random.default_rng(0)
+        for name, shape in self.LAYOUT[variant]:
+            if name.startswith("head.w_"):
+                expected = xavier_uniform(replay, shape[0], shape[1], shape)
+            else:
+                expected = np.zeros(shape)
+            assert np.array_equal(params[name].data, expected), name
 
 
 class TestC1:
@@ -54,7 +105,7 @@ class TestC1:
         params["head.w_attr"].data[:] = 0.0
         params["head.b_attr"].data[:] = 0.0
         u = embed(rng.normal(size=(1, 4)), s_max=2)
-        preds, attribution = head_c1_forward(u, params, config)
+        preds, attribution = head_forward(u, params, config)
         assert_allclose(attribution.aspect_dist[0], [0.5, 0.5])
         score = attribution.rating_scores[0]
         assert_allclose(preds.per_aspect[0].data, softmax_np(0.5 * score), atol=1e-12)
@@ -65,7 +116,7 @@ class TestC1:
         for p in params.values():
             p.data[:] = 0.0
         u = embed(np.random.default_rng(1).normal(size=(2, 4)), s_max=3)
-        preds, _ = head_c1_forward(u, params, config)
+        preds, _ = head_forward(u, params, config)
         assert_allclose(preds.overall.data, 0.2)
         for dist in preds.per_aspect:
             assert_allclose(dist.data, 0.2)
@@ -74,7 +125,7 @@ class TestC1:
         rng = np.random.default_rng(42)
         for _ in range(100):
             config, params, u, n = random_instance(rng, "C1")
-            preds, _ = head_c1_forward(u, params, config)
+            preds, _ = head_forward(u, params, config)
             rows = [u.values.data[i] for i in range(n)]
             overall, per_aspect = loop_oracle_classification(rows, params, config)
             assert_allclose(preds.overall.data, overall, atol=1e-12)
@@ -86,12 +137,12 @@ class TestC1:
         params = init_head_params(config, np.random.default_rng(0))
         u = SentenceEmbeddingMatrix(ad.constant(np.zeros((2, 4))), [False, False])
         with pytest.raises(ValueError, match="zero real sentences"):
-            head_c1_forward(u, params, config)
+            head_forward(u, params, config)
 
     def test_scaled_scores_exact_identity(self):
         rng = np.random.default_rng(5)
         config, params, u, n = random_instance(rng, "C1")
-        _, attribution = head_c1_forward(u, params, config)
+        _, attribution = head_forward(u, params, config)
         for i in range(n):
             expected = attribution.aspect_dist[i][:, None] * attribution.rating_scores[i][None, :]
             assert np.array_equal(attribution.scaled_scores[i], expected)
@@ -116,7 +167,7 @@ class TestC2:
         for p in params.values():
             p.data[:] = 0.0
         u = embed(np.random.default_rng(1).normal(size=(2, 4)), s_max=3)
-        preds, attribution = head_c2_forward(u, params, config)
+        preds, attribution = head_forward(u, params, config)
         assert_allclose(preds.overall.data, 0.2)
         assert_allclose(attribution.aspect_dist, 0.25)  # uniform over |A|+2 slots
 
@@ -124,7 +175,7 @@ class TestC2:
         rng = np.random.default_rng(43)
         for _ in range(100):
             config, params, u, n = random_instance(rng, "C2")
-            preds, _ = head_c2_forward(u, params, config)
+            preds, _ = head_forward(u, params, config)
             rows = [u.values.data[i] for i in range(n)]
             overall, per_aspect = loop_oracle_classification(rows, params, config)
             assert_allclose(preds.overall.data, overall, atol=1e-12)
@@ -141,7 +192,7 @@ class TestC2:
         params["head.b_attr"].data[:] = -800.0
         params["head.b_attr"].data[config.n_aspects] = 0.0  # overall slot wins exactly
         u = embed(rng.normal(size=(3, 4)), s_max=3)
-        preds, attribution = head_c2_forward(u, params, config)
+        preds, attribution = head_forward(u, params, config)
         assert_allclose(attribution.aspect_dist[:, config.n_aspects], 1.0)
         expected = softmax_np(attribution.rating_scores.sum(axis=0))
         assert_allclose(preds.overall.data, expected, atol=1e-12)
@@ -157,7 +208,7 @@ class TestR:
         params["head.w_attr"].data[:] = 0.0
         params["head.b_attr"].data[:] = 0.0
         u = embed(np.random.default_rng(1).normal(size=(3, 4)), s_max=3)
-        preds, _ = head_r_forward(u, params, config)
+        preds, _ = head_forward(u, params, config)
         for t in preds.per_aspect:
             assert float(t.data) == pytest.approx(2.5, abs=1e-7)
 
@@ -171,7 +222,7 @@ class TestR:
         params["head.b_attr"].data[:] = 0.0
         # sentence 1: score 2, second feature +1 (all mass on aspect); sentence 2: score 4, -1
         u = embed([[2.0, 1.0], [4.0, -1.0]])
-        preds, attribution = head_r_forward(u, params, config)
+        preds, attribution = head_forward(u, params, config)
         assert_allclose(attribution.rating_scores, [2.0, 4.0])
         assert_allclose(attribution.aspect_dist[:, 0], [1.0, 0.0])
         assert float(preds.per_aspect[0].data) == pytest.approx(2.0, abs=1e-6)
@@ -187,7 +238,7 @@ class TestR:
         w1 = math.log(1.0 / 3.0)   # softmax([log(1/3), 0]) = [0.25, 0.75]
         w2 = math.log(3.0)         # softmax([log 3, 0]) = [0.75, 0.25] -> weight .75 on aspect
         u = embed([[2.0, w1], [4.0, w2]])
-        preds, attribution = head_r_forward(u, params, config)
+        preds, attribution = head_forward(u, params, config)
         assert_allclose(attribution.aspect_dist[:, 0], [0.25, 0.75], atol=1e-12)
         assert float(preds.per_aspect[0].data) == pytest.approx(3.5, abs=1e-6)
 
@@ -195,7 +246,7 @@ class TestR:
         rng = np.random.default_rng(44)
         for _ in range(100):
             config, params, u, n = random_instance(rng, "R")
-            preds, _ = head_r_forward(u, params, config)
+            preds, _ = head_forward(u, params, config)
             rows = [u.values.data[i] for i in range(n)]
             overall, per_aspect = weighted_average_oracle(rows, params, config)
             assert float(preds.overall.data) == pytest.approx(overall, abs=1e-12)
@@ -206,7 +257,7 @@ class TestR:
         rng = np.random.default_rng(45)
         for _ in range(50):
             config, params, u, n = random_instance(rng, "R", n_aspects=3, s_max=5)
-            preds, attribution = head_r_forward(u, params, config)
+            preds, attribution = head_forward(u, params, config)
             lo, hi = attribution.rating_scores.min(), attribution.rating_scores.max()
             span = hi - lo
             for j, t in enumerate(preds.per_aspect):
@@ -219,8 +270,24 @@ class TestR:
         params["head.w_attr"].data[:] = 0.0
         params["head.b_attr"].data[:] = np.array([-800.0, 0.0, 0.0])
         u = embed(np.random.default_rng(1).normal(size=(2, 2)))
-        preds, _ = head_r_forward(u, params, config)
+        preds, _ = head_forward(u, params, config)
         assert preds.low_attribution_aspects == [0]
+
+
+class TestFlat:
+    @pytest.mark.parametrize("variant", ["flat-c", "flat-r"])
+    def test_loop_oracle_100_instances(self, variant):
+        rng = np.random.default_rng(50)
+        for _ in range(100):
+            config, params, u, n = random_instance(rng, variant)
+            preds, attribution = head_forward(u, params, config)
+            assert attribution is None
+            rows = [u.values.data[i] for i in range(n)]
+            overall, per_aspect = flat_loop_oracle(rows, params, config)
+            assert_allclose(preds.overall.data, overall, rtol=0, atol=1e-12)
+            assert len(preds.per_aspect) == config.n_aspects
+            for got, want in zip(preds.per_aspect, per_aspect):
+                assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
 class TestMaskInvariance:
@@ -247,11 +314,11 @@ class TestMaskInvariance:
                             attribution_mask_mode="soft")
         params = init_head_params(config, rng)
         rows = rng.normal(size=(2, 3))
-        p2, _ = head_r_forward(embed(rows, s_max=2), params, config)
-        p4, _ = head_r_forward(embed(rows, s_max=4), params, config)
+        p2, _ = head_forward(embed(rows, s_max=2), params, config)
+        p4, _ = head_forward(embed(rows, s_max=4), params, config)
         # soft mode treats pads as sentences: same zero-extension either way
         assert np.array_equal(p2.overall.data, p4.overall.data)
-        _, att = head_r_forward(embed(rows, s_max=4), params, config)
+        _, att = head_forward(embed(rows, s_max=4), params, config)
         assert att.n_sentences == 4
 
 

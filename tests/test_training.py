@@ -338,6 +338,22 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointVersionError, match=r"version 1\b.*reads 2"):
             load_checkpoint(path)
 
+    def test_config_blob_with_zero_dropout_loads(self, tmp_path):
+        # checkpoints written before EncoderConfig.dropout was removed carry it as 0.0
+        checkpoint = self.make_checkpoint()
+        checkpoint.config["encoder"]["dropout"] = 0.0
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint, path)
+        assert b'"dropout": 0.0' in path.read_bytes()
+        model = load_checkpoint(path).build_model()
+        assert list(model.params) == [name for name, _ in checkpoint.entries]
+        for name, arr in checkpoint.entries:
+            assert np.array_equal(model.params[name].data, arr)
+        checkpoint.config["encoder"]["dropout"] = 0.5
+        save_checkpoint(checkpoint, path)
+        with pytest.raises(ValueError, match="dropout"):
+            load_checkpoint(path).build_model()
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(self.make_checkpoint(), path)
