@@ -1,11 +1,12 @@
 """Dense-tensor reverse-mode automatic differentiation on a recording tape.
 
 Tensors wrap float64 numpy arrays. Every operation validates its operands,
-computes the result eagerly, and (when any operand requires gradients)
-records a backward closure on the active Graph. ``backward`` replays the
-tape in exact reverse recording order, accumulating gradients into every
-tensor that requires them. ``grad_check`` verifies any recorded computation
-against central finite differences.
+computes the result eagerly, and (inside a ``with Graph():`` block, when any
+operand requires gradients) records a backward closure on that Graph. There
+is no default graph: ops outside a Graph compute values and record nothing.
+``backward`` replays the tape in exact reverse recording order, accumulating
+gradients into every tensor that requires them. ``grad_check`` verifies any
+recorded computation against central finite differences.
 
 Gradients are dense arrays shaped like their tensors, allocated on first
 use and accumulated until ``zero_grads``. The one exception to writing a
@@ -53,7 +54,8 @@ class Tensor:
 
     ``grad`` stays ``None`` until a backward pass deposits something.
     ``node_id`` is a process-wide identity; ``graph`` points at the Graph
-    that recorded the producing op (``None`` for leaves).
+    that recorded the producing op (``None`` for leaves and for results
+    computed outside every Graph, which require no gradient).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id", "graph")
@@ -106,9 +108,10 @@ def constant(data) -> Tensor:
 class Graph:
     """Ordered record of operations; the tape replayed by ``backward``.
 
-    A graph may be used as a context manager to make it the active
-    recording target. Each graph supports one backward pass over what it
-    recorded; ``backward`` consumes the entries it replays.
+    Used as a context manager, a graph is the active recording target; it
+    is the only way to record. Ops run outside every Graph compute their
+    values and record nothing. Each graph supports one backward pass over
+    what it recorded; ``backward`` consumes the entries it replays.
     """
 
     def __init__(self):
@@ -117,9 +120,6 @@ class Graph:
     def record(self, out: Tensor, backward_fn) -> None:
         out.graph = self
         self.ops.append((out, backward_fn))
-
-    def clear(self) -> None:
-        self.ops.clear()
 
     def __enter__(self):
         _graph_stack.append(self)
@@ -130,11 +130,7 @@ class Graph:
         return False
 
 
-_graph_stack = [Graph()]
-
-
-def active_graph() -> Graph:
-    return _graph_stack[-1]
+_graph_stack = []  # innermost active Graph last; empty outside every Graph
 
 
 def zero_grads(params) -> None:
@@ -153,10 +149,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 def _make(data: np.ndarray, parents, backward_fn, op_name: str) -> Tensor:
     if _debug_checks and not np.all(np.isfinite(data)):
         raise NumericError(f"{op_name} produced non-finite values")
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        active_graph().record(out, backward_fn)
-    return out
+    if _graph_stack and any(p.requires_grad for p in parents):
+        out = Tensor(data, requires_grad=True)
+        _graph_stack[-1].record(out, backward_fn)
+        return out
+    return Tensor(data)
 
 
 def backward(loss: Tensor) -> None:
@@ -165,10 +162,14 @@ def backward(loss: Tensor) -> None:
     Replays the recording graph in exact reverse order, then consumes the
     replayed entries, so parameter gradients accumulate across successive
     forward/backward rounds while intermediate results cannot be
-    double-counted.
+    double-counted. A loss that requires no gradient (a constant, or a
+    result built outside every Graph) raises ``ValueError``.
     """
     if loss.data.size != 1:
         raise DimensionError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if not loss.requires_grad:
+        raise ValueError("backward: the loss requires no gradient; it is a constant or "
+                         "was built outside any Graph (build it inside `with Graph():`)")
     if loss.grad is None:
         loss.grad = np.ones_like(loss.data)
     else:
@@ -179,7 +180,7 @@ def backward(loss: Tensor) -> None:
     for out, backward_fn in reversed(graph.ops):
         if out.grad is not None:
             backward_fn(out)
-    graph.clear()
+    graph.ops.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +370,8 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
     out_data = np.sum(x.data, axis=axis)
 
     def backward_fn(out):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(out.grad, x.shape).copy())
-        else:
-            _accumulate(x, np.broadcast_to(np.expand_dims(out.grad, axis), x.shape).copy())
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
+        _accumulate(x, np.broadcast_to(g, x.shape).copy())
 
     return _make(out_data, (x,), backward_fn, "reduce_sum")
 
@@ -386,10 +385,8 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
     out_data = np.mean(x.data, axis=axis)
 
     def backward_fn(out):
-        if axis is None:
-            _accumulate(x, np.broadcast_to(out.grad / count, x.shape).copy())
-        else:
-            _accumulate(x, np.broadcast_to(np.expand_dims(out.grad, axis) / count, x.shape).copy())
+        g = out.grad if axis is None else np.expand_dims(out.grad, axis)
+        _accumulate(x, np.broadcast_to(g / count, x.shape).copy())
 
     return _make(out_data, (x,), backward_fn, "reduce_mean")
 
@@ -620,9 +617,7 @@ _REL_GUARD = 1e-3
 
 
 def _loss_value(build_loss) -> float:
-    with Graph():
-        t = build_loss()
-    v = float(t.data.reshape(()))
+    v = float(build_loss().data.reshape(()))
     if not np.isfinite(v):
         raise NumericError("non-finite loss value while probing")
     return v

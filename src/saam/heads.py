@@ -113,8 +113,8 @@ class PredictionSet:
     """Document-level outputs: overall plus one entry per real aspect.
 
     Classification entries are rank-1 distributions over the rating
-    classes; regression entries are scalars. All are graph tensors so a
-    loss can backpropagate through them.
+    classes; regression entries are scalars. Computed inside a ``Graph``,
+    they are recorded tensors a loss can backpropagate through.
     """
     kind: str
     overall: Tensor

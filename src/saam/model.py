@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
 from .encoders import EncoderConfig, encode_document, init_encoder_params
 from .heads import HeadConfig, head_forward, init_head_params
 
@@ -41,9 +40,8 @@ class SaamModel:
         return head_forward(u, self.params, self.head_config)
 
     def predict(self, sentences):
-        """Inference without recording gradients."""
-        with ad.Graph():
-            return self.forward(sentences)
+        """Inference: ``forward`` outside any ``Graph``, so it records no tape."""
+        return self.forward(sentences)
 
     def load_param_arrays(self, arrays: dict) -> None:
         if set(arrays) != set(self.params):

@@ -1,6 +1,6 @@
 """Built-in numerical self-test: gradient checks for every tensor op and
-for each encoder/head combination at toy sizes, plus head-oracle
-comparisons against brute-force reimplementations.
+for each encoder/head combination at toy sizes, plus comparisons of every
+head variant against its brute-force loop oracle (``saam.oracles``).
 
 Used by the command-line ``selftest`` and by the acceptance suite. Each
 check returns (name, passed, detail); the whole suite runs in well under
@@ -13,8 +13,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoders import EncoderConfig
-from .heads import HeadConfig, head_forward
+from .heads import VARIANTS, head_forward
 from .model import SaamModel
+from .oracles import HEAD_ORACLES, random_head_instance
+from .text import ReviewDocument
 from .training import TrainConfig, document_loss
 
 TOY_DIMS = {"d": 8, "s_max": 4, "n_aspects": 2, "n_classes": 3}
@@ -86,14 +88,6 @@ def toy_train_config(encoder_kind: str, variant: str) -> TrainConfig:
                        n_classes=TOY_DIMS["n_classes"], t_max=8)
 
 
-class _ToyDoc:
-    def __init__(self, sentences, overall, aspects):
-        self.doc_id = "toy"
-        self.sentences = sentences
-        self.overall_rating = overall
-        self.aspect_ratings = aspects
-
-
 def model_gradcheck(encoder_kind: str, variant: str, seed: int = 0,
                     h: float = 1e-5, tol: float = 1e-4) -> ad.GradCheckReport:
     """Full forward (encoder + head + loss) gradient check at toy dims."""
@@ -103,10 +97,8 @@ def model_gradcheck(encoder_kind: str, variant: str, seed: int = 0,
     rng = np.random.default_rng(seed)
     sentences = [[int(rng.integers(2, 12)) for _ in range(int(rng.integers(3, 6)))]
                  for _ in range(3)]
-    if model.kind == "classification":
-        doc = _ToyDoc(sentences, 2.0, [1.0, 3.0])
-    else:
-        doc = _ToyDoc(sentences, 2.5, [1.5, 3.5])
+    overall, aspects = (2.0, [1.0, 3.0]) if model.kind == "classification" else (2.5, [1.5, 3.5])
+    doc = ReviewDocument("toy", sentences, [], overall, aspects)
 
     def build():
         preds, _ = model.forward(doc.sentences)
@@ -115,75 +107,17 @@ def model_gradcheck(encoder_kind: str, variant: str, seed: int = 0,
     return ad.grad_check(build, model.params, h=h, tol=tol)
 
 
-def _np_softmax(x):
-    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _loop_oracle(u_rows, params, config: HeadConfig):
-    """Brute-force head forward: explicit loops, no outer-product shortcut."""
-    n = len(u_rows)
-    k = config.n_attribution_slots
-    w_s, b_s = params["head.w_score"].data, params["head.b_score"].data
-    w_a, b_a = params["head.w_attr"].data, params["head.b_attr"].data
-    if config.is_classification:
-        sums = np.zeros((k, config.n_classes))
-        for i in range(n):
-            score_i = u_rows[i] @ w_s + b_s
-            aspect_i = _np_softmax(u_rows[i] @ w_a + b_a)
-            for j in range(k):
-                for c in range(config.n_classes):
-                    sums[j, c] += aspect_i[j] * score_i[c]
-        dists = np.stack([_np_softmax(sums[j]) for j in range(k)])
-        if config.variant == "C1":
-            flat = np.zeros(config.s_max * config.feature_dim)
-            flat[:n * config.feature_dim] = np.concatenate(u_rows)
-            overall = _np_softmax(flat @ params["head.w_overall"].data
-                                  + params["head.b_overall"].data[0])
-        else:
-            overall = dists[config.n_aspects]
-        return overall, [dists[j] for j in range(config.n_aspects)]
-    per_aspect = []
-    scores = [float(u_rows[i] @ w_s[:, 0] + b_s[0]) for i in range(n)]
-    weights = [_np_softmax(u_rows[i] @ w_a + b_a) for i in range(n)]
-    for j in range(config.n_aspects):
-        num = sum(weights[i][j] * scores[i] for i in range(n))
-        den = sum(weights[i][j] for i in range(n)) + config.epsilon
-        per_aspect.append(num / den)
-    total = sum(float(params["head.w_overall"].data[i] @ u_rows[i]) for i in range(n))
-    overall = (total + float(params["head.b_overall"].data)) / n
-    return overall, per_aspect
-
-
 def head_oracle_check(variant: str, instances: int = 25, seed: int = 0,
                       tol: float = 1e-12):
-    """Compare the head against its brute-force oracle on random inputs."""
-    from .encoders import SentenceEmbeddingMatrix
-    from .heads import init_head_params
-
+    """Compare the head against its brute-force loop oracle on random inputs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(instances):
-        config = HeadConfig(variant, n_aspects=2, feature_dim=5, s_max=4, n_classes=3)
-        params = init_head_params(config, rng)
-        for p in params.values():
-            p.data[...] = rng.normal(scale=0.8, size=p.shape)
-        n = int(rng.integers(1, 5))
-        rows = rng.normal(size=(n, 5))
-        values = np.zeros((4, 5))
-        values[:n] = rows
-        u = SentenceEmbeddingMatrix(ad.constant(values), [True] * n + [False] * (4 - n))
-        with ad.Graph():
-            preds, _ = head_forward(u, params, config)
-        overall, per_aspect = _loop_oracle([rows[i] for i in range(n)], params, config)
-        if config.is_classification:
-            worst = max(worst, float(np.max(np.abs(preds.overall.data - overall))))
-            for got, want in zip(preds.per_aspect, per_aspect):
-                worst = max(worst, float(np.max(np.abs(got.data - want))))
-        else:
-            worst = max(worst, abs(float(preds.overall.data) - overall))
-            for got, want in zip(preds.per_aspect, per_aspect):
-                worst = max(worst, abs(float(got.data) - want))
+        config, params, u, n = random_head_instance(rng, variant)
+        preds, _ = head_forward(u, params, config)
+        overall, per_aspect = HEAD_ORACLES[variant](list(u.values.data[:n]), params, config)
+        for got, want in zip([preds.overall, *preds.per_aspect], [overall, *per_aspect]):
+            worst = max(worst, float(np.max(np.abs(got.data - want))))
     return bool(worst <= tol), float(worst)
 
 
@@ -200,7 +134,7 @@ def run_selftest(corrupt_op: str | None = None):
 
         def corrupted(x):
             out = original(x)  # correct forward, wrong backward: drop the entry
-            if out.graph is not None and out.graph.ops and out.graph.ops[-1][0] is out:
+            if out.graph is not None:  # recorded, so its entry is the tape's last
                 out.graph.ops[-1] = (out, lambda _out: None)
             return out
 
@@ -216,7 +150,7 @@ def run_selftest(corrupt_op: str | None = None):
                 report = model_gradcheck(encoder_kind, variant)
                 results.append((f"model:{encoder_kind}+{variant}", report.passed,
                                 f"max rel err {report.max_rel_error:.2e}"))
-        for variant in ("C1", "C2", "R"):
+        for variant in VARIANTS:
             ok, worst = head_oracle_check(variant)
             results.append((f"oracle:{variant}", ok, f"max abs diff {worst:.2e}"))
     finally:

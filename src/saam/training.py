@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .encoders import EncoderConfig
 from .heads import HeadConfig
 from .model import SaamModel
+from .text import CorpusError
 
 CHECKPOINT_MAGIC = b"SAAMCKPT"
 CHECKPOINT_VERSION = 2
@@ -234,9 +235,8 @@ def make_optimizer(kind: str, params: dict, lr: float):
 def _mean_split_loss(model: SaamModel, docs, config: TrainConfig) -> float:
     total = 0.0
     for doc in docs:
-        with ad.Graph():
-            preds, _ = model.forward(doc.sentences)
-            total += float(document_loss(model, preds, doc, config).data)
+        preds, _ = model.forward(doc.sentences)
+        total += float(document_loss(model, preds, doc, config).data)
     return total / len(docs)
 
 
@@ -244,12 +244,21 @@ def train(config: TrainConfig, splits: dict, vocab_hash: bytes = b"\x00" * 32):
     """Train a model on ``splits['train']`` with early stopping on dev loss.
 
     Returns (Checkpoint of the best-dev parameters, per-epoch history).
-    History entries carry epoch, train_loss, dev_loss, and best flag.
+    History entries carry epoch, train_loss, dev_loss, and best flag. A
+    classification variant raises ``CorpusError`` before the first epoch
+    on a train or dev rating outside its 1..n_classes domain.
     """
     train_docs = list(splits["train"])
     dev_docs = list(splits.get("dev") or [])
     if not train_docs:
         raise ValueError("empty training split")
+    if config.head_config().is_classification:  # regression takes any rating
+        for doc in train_docs + dev_docs:
+            for rating in (doc.overall_rating, *doc.aspect_ratings):
+                try:
+                    _rating_to_class(rating, config.n_classes)
+                except ValueError as e:
+                    raise CorpusError(f"document {doc.doc_id}: {e}") from None
     model = SaamModel(config.encoder, config.head_config(), seed=config.seed,
                       t_max=config.t_max)
     optimizer = make_optimizer(config.optimizer, model.params, config.lr)

@@ -17,12 +17,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import (
-    embed,
-    loop_oracle_classification,
-    random_head_instance,
-    weighted_average_oracle,
-)
 from saam import autodiff as ad
 from saam.encoders import EncoderConfig
 from saam.evaluation import (
@@ -33,6 +27,12 @@ from saam.evaluation import (
     regression_metrics,
 )
 from saam.heads import head_forward
+from saam.oracles import (
+    embed,
+    loop_oracle_classification,
+    random_head_instance,
+    weighted_average_oracle,
+)
 from saam.selftest import model_gradcheck, op_gradcheck_cases
 from saam.text import (
     ReviewDocument,

@@ -83,7 +83,7 @@ class TestSoftmax:
         x = np.array([1.0, 2.0, 3.0])
         expected = np.exp(x) / np.sum(np.exp(x))  # independent direct computation
         out = softmax_lastdim(constant(x))
-        assert_allclose(out.data, expected, atol=1e-12)
+        assert_allclose(out.data, expected, atol=1e-12, rtol=0)
         assert_allclose(out.data, [0.09003, 0.24473, 0.66524], atol=1e-5)
 
     def test_empty_rejected(self):
@@ -123,7 +123,7 @@ class TestOuter:
             u = rng.normal(size=4)
             v = rng.normal(size=3)
             got = reduce_sum(outer(constant(u), constant(v)), axis=0).data
-            assert_allclose(got, u.sum() * v, atol=1e-12)
+            assert_allclose(got, u.sum() * v, atol=1e-12, rtol=0)
 
 
 class TestElementwise:
@@ -312,6 +312,37 @@ class TestBackward:
         assert x.grad is None
 
 
+class TestTapeOwnership:
+    def test_ungraphed_ops_record_nothing(self):
+        x = parameter([1.0, 2.0])
+        for _ in range(1000):
+            out = mul(x, x)
+            assert out.graph is None
+            assert not out.requires_grad
+        assert ad._graph_stack == []
+
+    def test_ops_record_only_inside_graph(self):
+        x = parameter([1.0, 2.0])
+        with Graph() as g:
+            inside = mul(x, x)
+        outside = mul(x, x)
+        assert inside.graph is g and inside.requires_grad
+        assert [out for out, _ in g.ops] == [inside]
+        assert outside.graph is None
+
+    def test_backward_of_ungraphed_loss_raises(self):
+        x = parameter([1.0, 2.0])
+        loss = reduce_sum(mul(x, x))
+        with pytest.raises(ValueError, match="outside any Graph"):
+            backward(loss)
+        assert x.grad is None
+
+    def test_backward_of_constant_raises(self):
+        with Graph():
+            with pytest.raises(ValueError, match="Graph"):
+                backward(reduce_sum(mul(constant([1.0]), constant([2.0]))))
+
+
 class TestStructuralOps:
     def test_transpose_roundtrip(self):
         x = parameter([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -444,10 +475,15 @@ class TestGradCheck:
             "scale": (lambda: weighted_sum(ad.scale(e1, 2.5), 10), {"e1": e1}),
             "reduce_sum": (lambda: weighted_sum(reduce_sum(a, axis=1), 11), {"a": a}),
             "reduce_mean": (lambda: weighted_sum(reduce_mean(a, axis=0), 12), {"a": a}),
+            "reduce_sum_all": (lambda: weighted_sum(reduce_sum(a), 21), {"a": a}),
+            "reduce_mean_all": (lambda: weighted_sum(reduce_mean(a), 22), {"a": a}),
             "max_over_axis": (lambda: weighted_sum(max_over_axis(m, 0), 13), {"m": m}),
             "embedding": (lambda: weighted_sum(embedding_lookup(table, [2, 0, 2]), 14), {"table": table}),
             "cross_entropy": (lambda: cross_entropy(reshape(softmax_lastdim(reshape(u, (1, 5))), (5,)), 2), {"u": u}),
             "squared_error": (lambda: squared_error(sc, 1.25), {"sc": sc}),
+            # an upstream gradient other than 1 reaches the rule's out.grad factor
+            "squared_error_upstream": (lambda: ad.scale(squared_error(sc, 1.25), 3.0),
+                                       {"sc": sc}),
             "transpose": (lambda: weighted_sum(transpose(a), 15), {"a": a}),
             "reshape": (lambda: weighted_sum(reshape(a, (2, 6)), 16), {"a": a}),
             "stack_rows": (lambda: weighted_sum(stack_rows([u, u]), 17), {"u": u}),

@@ -132,6 +132,25 @@ class TestTrain:
                      "--out", str(tmp_path / "x.ckpt")]) == EXIT_USAGE
         assert "dropout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["C1", "C2", "flat-c"])
+    def test_half_ratings_on_classification_is_data_error(self, tmp_path, capsys, variant):
+        corpus, data = tmp_path / "half.jsonl", tmp_path / "data"
+        assert main(["generate", "--out", str(corpus), "--aspects", "2", "--docs", "30",
+                     "--seed", "4", "--sentences-per-aspect", "2",
+                     "--rating-scheme", "half"]) == EXIT_OK
+        assert main(["prepare", str(corpus), "--out", str(data), "--dev-size", "3"]) == EXIT_OK
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"variant": variant, "s_max": 4,
+                                      "encoder": {"kind": "mean", "embedding_dim": 4}}))
+        capsys.readouterr()
+        ckpt = tmp_path / "x.ckpt"
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(ckpt)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("data error: document ") and ".5 outside the 1..5" in err
+        assert not ckpt.exists()
+
     def test_rerun_same_seed_identical_checkpoint(self, workspace, tmp_path):
         outs = []
         for name in ("r1.ckpt", "r2.ckpt"):

@@ -14,9 +14,7 @@ from saam.heads import (
     init_head_params,
     sentence_scalar_scores,
 )
-
-
-from oracles import (
+from saam.oracles import (
     embed,
     flat_loop_oracle,
     loop_oracle_classification,
@@ -108,7 +106,7 @@ class TestC1:
         preds, attribution = head_forward(u, params, config)
         assert_allclose(attribution.aspect_dist[0], [0.5, 0.5])
         score = attribution.rating_scores[0]
-        assert_allclose(preds.per_aspect[0].data, softmax_np(0.5 * score), atol=1e-12)
+        assert_allclose(preds.per_aspect[0].data, softmax_np(0.5 * score), atol=1e-12, rtol=0)
 
     def test_all_zero_params_give_uniform(self):
         config = HeadConfig("C1", n_aspects=2, feature_dim=4, s_max=3, n_classes=5)
@@ -128,9 +126,9 @@ class TestC1:
             preds, _ = head_forward(u, params, config)
             rows = [u.values.data[i] for i in range(n)]
             overall, per_aspect = loop_oracle_classification(rows, params, config)
-            assert_allclose(preds.overall.data, overall, atol=1e-12)
+            assert_allclose(preds.overall.data, overall, atol=1e-12, rtol=0)
             for got, want in zip(preds.per_aspect, per_aspect):
-                assert_allclose(got.data, want, atol=1e-12)
+                assert_allclose(got.data, want, atol=1e-12, rtol=0)
 
     def test_zero_real_sentences_rejected(self):
         config = HeadConfig("C1", n_aspects=2, feature_dim=4, s_max=2)
@@ -178,9 +176,9 @@ class TestC2:
             preds, _ = head_forward(u, params, config)
             rows = [u.values.data[i] for i in range(n)]
             overall, per_aspect = loop_oracle_classification(rows, params, config)
-            assert_allclose(preds.overall.data, overall, atol=1e-12)
+            assert_allclose(preds.overall.data, overall, atol=1e-12, rtol=0)
             for got, want in zip(preds.per_aspect, per_aspect):
-                assert_allclose(got.data, want, atol=1e-12)
+                assert_allclose(got.data, want, atol=1e-12, rtol=0)
 
     def test_forced_overall_attribution_equivalence(self):
         # with all attribution mass on the overall slot, the overall
@@ -195,7 +193,7 @@ class TestC2:
         preds, attribution = head_forward(u, params, config)
         assert_allclose(attribution.aspect_dist[:, config.n_aspects], 1.0)
         expected = softmax_np(attribution.rating_scores.sum(axis=0))
-        assert_allclose(preds.overall.data, expected, atol=1e-12)
+        assert_allclose(preds.overall.data, expected, atol=1e-12, rtol=0)
 
 
 class TestR:
@@ -239,7 +237,7 @@ class TestR:
         w2 = math.log(3.0)         # softmax([log 3, 0]) = [0.75, 0.25] -> weight .75 on aspect
         u = embed([[2.0, w1], [4.0, w2]])
         preds, attribution = head_forward(u, params, config)
-        assert_allclose(attribution.aspect_dist[:, 0], [0.25, 0.75], atol=1e-12)
+        assert_allclose(attribution.aspect_dist[:, 0], [0.25, 0.75], atol=1e-12, rtol=0)
         assert float(preds.per_aspect[0].data) == pytest.approx(3.5, abs=1e-6)
 
     def test_weighted_average_oracle_100_instances(self):

@@ -1,3 +1,4 @@
+import gc
 import math
 import struct
 
@@ -7,9 +8,9 @@ from numpy.testing import assert_allclose
 
 from saam import autodiff as ad
 from saam.encoders import EncoderConfig
-
 from saam.model import SaamModel
 from saam.text import (
+    CorpusError,
     aspect_names_from_records,
     build_vocabulary,
     docs_from_records,
@@ -24,6 +25,7 @@ from saam.training import (
     TrainConfig,
     TrainingDivergedError,
     VocabularyHashError,
+    _mean_split_loss,
     classification_loss,
     clip_gradients,
     document_loss,
@@ -109,9 +111,8 @@ class TestLosses:
         config = mean_r_config(vocab)
         model = SaamModel(config.encoder, config.head_config(), seed=1)
         for doc in docs:
-            with ad.Graph():
-                preds, _ = model.forward(doc.sentences)
-                assert document_loss(model, preds, doc, config).item() >= 0.0
+            preds, _ = model.forward(doc.sentences)
+            assert document_loss(model, preds, doc, config).item() >= 0.0
 
 
 class TestOptimizers:
@@ -173,9 +174,8 @@ class TestOptimizers:
         doc = docs[0]
 
         def loss_value():
-            with ad.Graph():
-                preds, _ = model.forward(doc.sentences)
-                return document_loss(model, preds, doc, config).item()
+            preds, _ = model.forward(doc.sentences)
+            return document_loss(model, preds, doc, config).item()
 
         before = loss_value()
         decreased = False
@@ -212,6 +212,40 @@ class TestTrainLoop:
         checkpoint, history = train(config, {"train": docs, "dev": []})
         assert len(history) <= 200
         assert history[-1]["train_loss"] < 0.05
+
+    def test_batch_gradient_is_mean_of_document_gradients(self):
+        # one SGD step on one batch of two documents, no clipping
+        docs, vocab, _ = synthetic_docs(n_docs=2, seed=12)
+        config = mean_r_config(vocab, optimizer="sgd", lr=0.1, grad_clip=None,
+                               batch_size=2, max_epochs=1, patience=1)
+        model = SaamModel(config.encoder, config.head_config(), seed=config.seed,
+                          t_max=config.t_max)
+        initial = model.param_arrays()
+        grads = []
+        for doc in docs:
+            ad.zero_grads(model.params)
+            with ad.Graph():
+                preds, _ = model.forward(doc.sentences)
+                ad.backward(document_loss(model, preds, doc, config))
+            grads.append({name: np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+                          for name, p in model.params.items()})
+        checkpoint, _ = train(config, {"train": docs, "dev": []})
+        for name, trained in checkpoint.arrays().items():
+            mean_grad = (grads[0][name] + grads[1][name]) / 2.0
+            assert np.any(mean_grad != 0.0), name
+            assert_allclose(trained, initial[name] - config.lr * mean_grad,
+                            atol=1e-12, rtol=0, err_msg=name)
+
+    def test_rating_outside_class_domain_is_corpus_error(self):
+        docs, vocab, _ = synthetic_docs(n_docs=6, seed=13)
+        docs[5].aspect_ratings[1] = 4.5
+        config = TrainConfig(variant="C1", n_aspects=2, s_max=2, max_epochs=1,
+                             encoder=EncoderConfig("mean", vocab_size=vocab.size,
+                                                   embedding_dim=4))
+        with pytest.raises(CorpusError, match=f"{docs[5].doc_id}.*4.5"):
+            train(config, {"train": docs[:4], "dev": docs[4:]})
+        # regression accepts any rating
+        train(mean_r_config(vocab, max_epochs=1), {"train": docs[:4], "dev": docs[4:]})
 
     def test_same_seed_identical_history_and_checkpoint(self, tmp_path):
         docs, vocab, _ = synthetic_docs(n_docs=16, seed=2)
@@ -406,3 +440,25 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="optimizer"):
             TrainConfig(variant="R", n_aspects=2, s_max=2, optimizer="rmsprop",
                         encoder=EncoderConfig("mean", vocab_size=10, embedding_dim=4))
+
+
+@pytest.mark.parametrize("encoder_kind", ["mean", "cnn", "gru"])
+def test_inference_leaves_no_cyclic_garbage(encoder_kind):
+    # predict and the dev loss record no tape, so they build no reference
+    # cycles for the cyclic collector to find
+    docs, vocab, _ = synthetic_docs(n_docs=3, seed=14)
+    config = mean_r_config(vocab, encoder=EncoderConfig(
+        encoder_kind, vocab_size=vocab.size, embedding_dim=6, gru_hidden=5,
+        cnn_filters_per_width=3))
+    model = SaamModel(config.encoder, config.head_config(), seed=0, t_max=config.t_max)
+    model.predict(docs[0].sentences)
+    _mean_split_loss(model, docs, config)
+    gc.collect()
+    gc.disable()
+    try:
+        model.predict(docs[0].sentences)
+        assert gc.collect() == 0
+        _mean_split_loss(model, docs, config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
