@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -177,11 +178,9 @@ def cmd_prepare(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {"variant", "encoder", "s_max", "t_max", "n_classes", "lr", "optimizer",
-                "batch_size", "max_epochs", "patience", "seed", "lambda_overall",
-                "lambda_aspect", "epsilon", "attribution_mask_mode", "grad_clip"}
-_ENCODER_KEYS = {"kind", "embedding_dim", "cnn_filter_widths", "cnn_filters_per_width",
-                 "gru_hidden", "dropout", "vocab_size"}
+# n_aspects comes from the prepared data; old configs may carry "dropout": 0.0
+_CONFIG_KEYS = {f.name for f in fields(TrainConfig)} - {"n_aspects"}
+_ENCODER_KEYS = {f.name for f in fields(EncoderConfig)} | {"dropout"}
 
 
 def _load_train_config(path, data_dir: Path, overrides: dict) -> tuple:

@@ -131,7 +131,7 @@ def encode_cnn(token_ids, params, config: EncoderConfig) -> Tensor:
         bias = ad.outer(ad.constant(np.ones(positions)), params[f"encoder.cnn.b{w}"])
         acts = ad.relu(ad.add(acts, bias))
         pooled.append(ad.max_over_axis(acts, 0))
-    return ad.concat(pooled) if len(pooled) > 1 else pooled[0]
+    return ad.concat(pooled)
 
 
 def encode_gru(token_ids, params, config: EncoderConfig) -> Tensor:

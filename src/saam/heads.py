@@ -97,16 +97,6 @@ class HeadConfig:
         """Aspects plus the extra slots (attribution variants only)."""
         return self.n_aspects + len(self.spec.slot_labels or ())
 
-    def to_dict(self) -> dict:
-        return {"variant": self.variant, "n_aspects": self.n_aspects,
-                "feature_dim": self.feature_dim, "s_max": self.s_max,
-                "n_classes": self.n_classes, "epsilon": self.epsilon,
-                "attribution_mask_mode": self.attribution_mask_mode}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HeadConfig":
-        return cls(**d)
-
 
 @dataclass
 class PredictionSet:
@@ -286,7 +276,7 @@ def extract_attribution(result: AttributionResult, aspect_names) -> list:
     return out
 
 
-def sentence_scalar_scores(result: AttributionResult, n_classes: int | None = None) -> np.ndarray:
+def sentence_scalar_scores(result: AttributionResult) -> np.ndarray:
     """Scalar sentiment per sentence: the raw score (regression) or the
     expected rating value under softmax(score) (classification)."""
     if result.rating_scores.ndim == 1:

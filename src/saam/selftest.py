@@ -2,9 +2,9 @@
 for each encoder/head combination at toy sizes, plus comparisons of every
 head variant against its brute-force loop oracle (``saam.oracles``).
 
-Used by the command-line ``selftest`` and by the acceptance suite. Each
-check returns (name, passed, detail); the whole suite runs in well under
-a minute.
+Each check is written only here: the command-line ``selftest``, the unit
+tests and the acceptance suite all run it from this module. Each check
+returns (name, passed, detail); the whole suite runs in well under a minute.
 """
 
 from __future__ import annotations
@@ -13,13 +13,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .encoders import EncoderConfig
-from .heads import VARIANTS, head_forward
+from .heads import HEADS, VARIANTS, head_forward
 from .model import SaamModel
 from .oracles import HEAD_ORACLES, random_head_instance
 from .text import ReviewDocument
 from .training import TrainConfig, document_loss
 
 TOY_DIMS = {"d": 8, "s_max": 4, "n_aspects": 2, "n_classes": 3}
+MODEL_GRADCHECK_PAIRS = tuple((encoder_kind, variant) for encoder_kind in ("cnn", "gru")
+                              for variant in ("C1", "C2", "R"))
 
 
 def _weighted(t, seed):
@@ -56,6 +58,8 @@ def op_gradcheck_cases():
         ("scale", lambda: _weighted(ad.scale(e1, 2.5), 10), {"e1": e1}),
         ("reduce_sum", lambda: _weighted(ad.reduce_sum(a, axis=1), 11), {"a": a}),
         ("reduce_mean", lambda: _weighted(ad.reduce_mean(a, axis=0), 12), {"a": a}),
+        ("reduce_sum_all", lambda: _weighted(ad.reduce_sum(a), 21), {"a": a}),
+        ("reduce_mean_all", lambda: _weighted(ad.reduce_mean(a), 22), {"a": a}),
         ("max_over_axis", lambda: _weighted(ad.max_over_axis(m, 0), 13), {"m": m}),
         ("embedding_lookup", lambda: _weighted(ad.embedding_lookup(table, [2, 0, 2]), 14),
          {"table": table}),
@@ -63,6 +67,8 @@ def op_gradcheck_cases():
          lambda: ad.cross_entropy(ad.reshape(ad.softmax_lastdim(ad.reshape(u, (1, 5))), (5,)), 2),
          {"u": u}),
         ("squared_error", lambda: ad.squared_error(sc, 1.25), {"sc": sc}),
+        # an upstream gradient other than 1 reaches the rule's out.grad factor
+        ("squared_error_upstream", lambda: ad.scale(ad.squared_error(sc, 1.25), 3.0), {"sc": sc}),
         ("transpose", lambda: _weighted(ad.transpose(a), 15), {"a": a}),
         ("reshape", lambda: _weighted(ad.reshape(a, (2, 6)), 16), {"a": a}),
         ("stack_rows", lambda: _weighted(ad.stack_rows([u, u]), 17), {"u": u}),
@@ -88,8 +94,7 @@ def toy_train_config(encoder_kind: str, variant: str) -> TrainConfig:
                        n_classes=TOY_DIMS["n_classes"], t_max=8)
 
 
-def model_gradcheck(encoder_kind: str, variant: str, seed: int = 0,
-                    h: float = 1e-5, tol: float = 1e-4) -> ad.GradCheckReport:
+def model_gradcheck(encoder_kind: str, variant: str, seed: int = 0) -> ad.GradCheckReport:
     """Full forward (encoder + head + loss) gradient check at toy dims."""
     config = toy_train_config(encoder_kind, variant)
     model = SaamModel(config.encoder, config.head_config(), seed=seed,
@@ -104,21 +109,28 @@ def model_gradcheck(encoder_kind: str, variant: str, seed: int = 0,
         preds, _ = model.forward(doc.sentences)
         return document_loss(model, preds, doc, config)
 
-    return ad.grad_check(build, model.params, h=h, tol=tol)
+    return ad.grad_check(build, model.params)
 
 
-def head_oracle_check(variant: str, instances: int = 25, seed: int = 0,
+def head_oracle_check(variant: str, rng: np.random.Generator, instances: int = 25,
                       tol: float = 1e-12):
-    """Compare the head against its brute-force loop oracle on random inputs."""
-    rng = np.random.default_rng(seed)
+    """Compare the head against its brute-force loop oracle on ``instances``
+    random heads drawn from ``rng``; returns (passed, detail). A difference
+    above ``tol`` (or NaN), an aspect output count other than the oracle's, or
+    an attribution result the variant's ``HEADS`` row does not call for fails."""
+    has_attribution = HEADS[variant].slot_labels is not None
     worst = 0.0
     for _ in range(instances):
         config, params, u, n = random_head_instance(rng, variant)
-        preds, _ = head_forward(u, params, config)
+        preds, attribution = head_forward(u, params, config)
         overall, per_aspect = HEAD_ORACLES[variant](list(u.values.data[:n]), params, config)
+        if len(preds.per_aspect) != len(per_aspect):
+            return False, f"{len(preds.per_aspect)} aspect outputs, oracle has {len(per_aspect)}"
+        if (attribution is not None) != has_attribution:
+            return False, f"attribution {'missing' if has_attribution else 'from a flat head'}"
         for got, want in zip([preds.overall, *preds.per_aspect], [overall, *per_aspect]):
-            worst = max(worst, float(np.max(np.abs(got.data - want))))
-    return bool(worst <= tol), float(worst)
+            worst = float(np.maximum(worst, np.max(np.abs(got.data - want))))
+    return bool(worst <= tol), f"max abs diff {worst:.2e}"
 
 
 def run_selftest(corrupt_op: str | None = None):
@@ -128,7 +140,6 @@ def run_selftest(corrupt_op: str | None = None):
     duration of the run, to prove the harness catches bad gradients.
     """
     results = []
-    restore = None
     if corrupt_op is not None:
         original = getattr(ad, corrupt_op)
 
@@ -139,21 +150,19 @@ def run_selftest(corrupt_op: str | None = None):
             return out
 
         setattr(ad, corrupt_op, corrupted)
-        restore = (corrupt_op, original)
     try:
         for name, build, params in op_gradcheck_cases():
             report = ad.grad_check(build, params)
             results.append((f"op:{name}", report.passed,
                             f"max rel err {report.max_rel_error:.2e}"))
-        for encoder_kind in ("cnn", "gru"):
-            for variant in ("C1", "C2", "R"):
-                report = model_gradcheck(encoder_kind, variant)
-                results.append((f"model:{encoder_kind}+{variant}", report.passed,
-                                f"max rel err {report.max_rel_error:.2e}"))
+        for encoder_kind, variant in MODEL_GRADCHECK_PAIRS:
+            report = model_gradcheck(encoder_kind, variant)
+            results.append((f"model:{encoder_kind}+{variant}", report.passed,
+                            f"max rel err {report.max_rel_error:.2e}"))
         for variant in VARIANTS:
-            ok, worst = head_oracle_check(variant)
-            results.append((f"oracle:{variant}", ok, f"max abs diff {worst:.2e}"))
+            results.append((f"oracle:{variant}",
+                            *head_oracle_check(variant, np.random.default_rng(0))))
     finally:
-        if restore is not None:
-            setattr(ad, restore[0], restore[1])
+        if corrupt_op is not None:
+            setattr(ad, corrupt_op, original)
     return results

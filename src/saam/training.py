@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -101,10 +101,7 @@ class TrainConfig:
                           attribution_mask_mode=self.attribution_mask_mode)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "variant", "n_aspects", "s_max", "t_max", "n_classes", "lr", "optimizer",
-            "batch_size", "max_epochs", "patience", "seed", "lambda_overall",
-            "lambda_aspect", "epsilon", "attribution_mask_mode", "grad_clip")}
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["encoder"] = self.encoder.to_dict()
         return d
 

@@ -9,7 +9,6 @@ from saam.autodiff import (
     DimensionError,
     Graph,
     NumericError,
-    Tensor,
     add,
     backward,
     concat,
@@ -36,6 +35,7 @@ from saam.autodiff import (
     transpose,
     zero_grads,
 )
+from saam.selftest import op_gradcheck_cases
 
 from oracles import dense_scatter_embedding_lookup
 
@@ -143,6 +143,12 @@ class TestElementwise:
             backward(reduce_sum(out))
         assert_allclose(out.data, [2.0, 4.0, 6.0])
         assert_allclose(b.grad, [6.0])
+
+    def test_relu_gradient_at_zero_is_zero(self):
+        x = parameter([-1.0, 0.0, 2.0])
+        with Graph():
+            backward(reduce_sum(ad.relu(x)))
+        assert x.grad.tolist() == [0.0, 0.0, 1.0]
 
     def test_div_by_zero(self):
         with pytest.raises(NumericError):
@@ -441,56 +447,8 @@ class TestGradCheck:
         assert "w" in report.failures
         assert "BAD" in report.summary()
 
-    def test_every_op_passes_gradcheck(self):
-        rng = np.random.default_rng(11)
-
-        def weighted_sum(t, seed):
-            w = np.random.default_rng(seed).normal(size=t.shape)
-            return reduce_sum(mul_by(t, w))
-
-        a = parameter(rng.normal(size=(3, 4)))
-        b = parameter(rng.normal(size=(4, 2)))
-        u = parameter(rng.normal(size=5))
-        v = parameter(rng.normal(size=3))
-        e1 = parameter(rng.normal(size=(2, 3)))
-        e2 = parameter(rng.normal(size=(2, 3)))
-        # keep relu/max inputs away from kinks and ties
-        r = parameter(rng.normal(size=(3, 3)) + np.where(rng.normal(size=(3, 3)) > 0, 2.0, -2.0))
-        denom = parameter(np.abs(rng.normal(size=(2, 3))) + 0.5)
-        table = parameter(rng.normal(size=(4, 3)))
-        m = parameter(rng.normal(size=(3, 4)) * 2.0)
-        sc = parameter(rng.normal(size=()) + 3.0)
-
-        cases = {
-            "matmul": (lambda: weighted_sum(matmul(a, b), 0), {"a": a, "b": b}),
-            "softmax": (lambda: weighted_sum(softmax_lastdim(a), 1), {"a": a}),
-            "outer": (lambda: weighted_sum(outer(u, v), 2), {"u": u, "v": v}),
-            "add": (lambda: weighted_sum(add(e1, e2), 3), {"e1": e1, "e2": e2}),
-            "sub": (lambda: weighted_sum(ad.sub(e1, e2), 4), {"e1": e1, "e2": e2}),
-            "mul": (lambda: weighted_sum(mul(e1, e2), 5), {"e1": e1, "e2": e2}),
-            "div": (lambda: weighted_sum(div(e1, denom), 6), {"e1": e1, "denom": denom}),
-            "tanh": (lambda: weighted_sum(tanh(e1), 7), {"e1": e1}),
-            "sigmoid": (lambda: weighted_sum(sigmoid(e1), 8), {"e1": e1}),
-            "relu": (lambda: weighted_sum(ad.relu(r), 9), {"r": r}),
-            "scale": (lambda: weighted_sum(ad.scale(e1, 2.5), 10), {"e1": e1}),
-            "reduce_sum": (lambda: weighted_sum(reduce_sum(a, axis=1), 11), {"a": a}),
-            "reduce_mean": (lambda: weighted_sum(reduce_mean(a, axis=0), 12), {"a": a}),
-            "reduce_sum_all": (lambda: weighted_sum(reduce_sum(a), 21), {"a": a}),
-            "reduce_mean_all": (lambda: weighted_sum(reduce_mean(a), 22), {"a": a}),
-            "max_over_axis": (lambda: weighted_sum(max_over_axis(m, 0), 13), {"m": m}),
-            "embedding": (lambda: weighted_sum(embedding_lookup(table, [2, 0, 2]), 14), {"table": table}),
-            "cross_entropy": (lambda: cross_entropy(reshape(softmax_lastdim(reshape(u, (1, 5))), (5,)), 2), {"u": u}),
-            "squared_error": (lambda: squared_error(sc, 1.25), {"sc": sc}),
-            # an upstream gradient other than 1 reaches the rule's out.grad factor
-            "squared_error_upstream": (lambda: ad.scale(squared_error(sc, 1.25), 3.0),
-                                       {"sc": sc}),
-            "transpose": (lambda: weighted_sum(transpose(a), 15), {"a": a}),
-            "reshape": (lambda: weighted_sum(reshape(a, (2, 6)), 16), {"a": a}),
-            "stack_rows": (lambda: weighted_sum(stack_rows([u, u]), 17), {"u": u}),
-            "slice_rows": (lambda: weighted_sum(slice_rows(a, 1, 3), 18), {"a": a}),
-            "pad_rows": (lambda: weighted_sum(pad_rows(a, 5), 19), {"a": a}),
-            "concat": (lambda: weighted_sum(concat([u, v]), 20), {"u": u, "v": v}),
-        }
-        for name, (build, params) in cases.items():
-            report = grad_check(build, params, h=1e-5, tol=1e-4)
-            assert report.passed, f"{name}: {report.summary()}"
+    @pytest.mark.parametrize("name,build,params",
+                             [pytest.param(*case, id=case[0]) for case in op_gradcheck_cases()])
+    def test_every_op_passes_gradcheck(self, name, build, params):
+        report = grad_check(build, params)
+        assert report.passed, f"{name}: {report.summary()}"

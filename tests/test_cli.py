@@ -3,6 +3,7 @@ import json
 import pytest
 
 from saam.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from saam.heads import VARIANTS, head_forward
 from saam.model import SaamModel
 
 
@@ -56,7 +57,8 @@ class TestPrepare:
 
     def test_unrated_record_skipped_with_count(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
-        rows = [{"doc_id": f"d{i}", "sentences": ["a b"] * 4, "overall": 3,
+        # three documents fall below the default four sentences
+        rows = [{"doc_id": f"d{i}", "sentences": ["a b"] * (2 if i < 3 else 4), "overall": 3,
                  "aspects": {"X": 3, "Y": 4}} for i in range(20)]
         rows[5] = {"doc_id": "bad", "sentences": ["a b"] * 4, "overall": 3,
                    "aspects": {"X": 3}}
@@ -66,6 +68,8 @@ class TestPrepare:
             "prepare", str(corpus), "--out", str(out), "--dev-size", "2"]) == EXIT_OK
         manifest = json.loads((out / "manifest-prepare.json").read_text())
         assert manifest["skipped_unrated"] == 1
+        assert manifest["skipped_short"] == 3
+        assert sum(manifest["split_sizes"].values()) == 16
         assert "missing aspect rating" in capsys.readouterr().err
 
     def test_malformed_record_is_data_error(self, tmp_path, capsys):
@@ -116,12 +120,15 @@ class TestTrain:
 
     def test_unknown_config_key_named(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"variant": "R", "learning_rate": 0.1,
-                                   "encoder": {"kind": "mean", "embedding_dim": 8},
-                                   "s_max": 4}))
-        assert main(["train", "--config", str(bad), "--data", str(workspace["data"]),
-                     "--out", str(tmp_path / "x.ckpt")]) == EXIT_USAGE
-        assert "learning_rate" in capsys.readouterr().err
+        for extra, encoder_extra, message in [
+                ({"learning_rate": 0.1}, {}, "unknown config key 'learning_rate'"),
+                ({"n_aspects": 2}, {}, "unknown config key 'n_aspects'"),
+                ({}, {"filters": 8}, "unknown encoder config key 'filters'")]:
+            bad.write_text(json.dumps({"variant": "R", "s_max": 4, **extra, "encoder": {
+                "kind": "mean", "embedding_dim": 8, **encoder_extra}}))
+            assert main(["train", "--config", str(bad), "--data", str(workspace["data"]),
+                         "--out", str(tmp_path / "x.ckpt")]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
 
     def test_nonzero_dropout_is_usage_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -313,6 +320,19 @@ class TestSelftestAndUsage:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["prepare", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "d")]) == EXIT_DATA
+
+    def test_dropped_aspect_output_fails_every_oracle_row(self, tmp_path, monkeypatch):
+        def drop_last_aspect(u, params, config):
+            preds, attribution = head_forward(u, params, config)
+            preds.per_aspect = preds.per_aspect[:-1]
+            return preds, attribution
+
+        monkeypatch.setattr("saam.selftest.head_forward", drop_last_aspect)
+        assert main(["selftest", "--out", str(tmp_path)]) == EXIT_NUMERIC
+        failed = [r for r in json.loads((tmp_path / "selftest.json").read_text())
+                  if not r["passed"]]
+        assert [r["name"] for r in failed] == [f"oracle:{v}" for v in VARIANTS]
+        assert all(r["detail"] == "1 aspect outputs, oracle has 2" for r in failed)
 
     def test_corrupted_op_fails_naming_it(self, tmp_path, capsys):
         assert main(["selftest", "--corrupt", "tanh", "--out", str(tmp_path)]) == EXIT_NUMERIC

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from saam import autodiff as ad
 from saam.encoders import SentenceEmbeddingMatrix, xavier_uniform
 from saam.heads import (
+    VARIANTS,
     AttributionResult,
     HeadConfig,
     extract_attribution,
@@ -14,14 +15,8 @@ from saam.heads import (
     init_head_params,
     sentence_scalar_scores,
 )
-from saam.oracles import (
-    embed,
-    flat_loop_oracle,
-    loop_oracle_classification,
-    random_head_instance as random_instance,
-    softmax_np,
-    weighted_average_oracle,
-)
+from saam.oracles import embed, random_head_instance as random_instance, softmax_np
+from saam.selftest import head_oracle_check
 
 
 class TestHeadConfig:
@@ -49,10 +44,6 @@ class TestHeadConfig:
     def test_unknown_variant(self):
         with pytest.raises(ValueError, match="unknown variant"):
             HeadConfig("C3", n_aspects=2, feature_dim=4, s_max=2)
-
-    def test_roundtrip(self):
-        cfg = HeadConfig("R", n_aspects=2, feature_dim=4, s_max=3, epsilon=1e-6)
-        assert HeadConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestInitHeadParams:
@@ -120,15 +111,8 @@ class TestC1:
             assert_allclose(dist.data, 0.2)
 
     def test_loop_oracle_100_instances(self):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            config, params, u, n = random_instance(rng, "C1")
-            preds, _ = head_forward(u, params, config)
-            rows = [u.values.data[i] for i in range(n)]
-            overall, per_aspect = loop_oracle_classification(rows, params, config)
-            assert_allclose(preds.overall.data, overall, atol=1e-12, rtol=0)
-            for got, want in zip(preds.per_aspect, per_aspect):
-                assert_allclose(got.data, want, atol=1e-12, rtol=0)
+        ok, detail = head_oracle_check("C1", np.random.default_rng(42), instances=100)
+        assert ok, detail
 
     def test_zero_real_sentences_rejected(self):
         config = HeadConfig("C1", n_aspects=2, feature_dim=4, s_max=2)
@@ -170,15 +154,8 @@ class TestC2:
         assert_allclose(attribution.aspect_dist, 0.25)  # uniform over |A|+2 slots
 
     def test_loop_oracle_100_instances(self):
-        rng = np.random.default_rng(43)
-        for _ in range(100):
-            config, params, u, n = random_instance(rng, "C2")
-            preds, _ = head_forward(u, params, config)
-            rows = [u.values.data[i] for i in range(n)]
-            overall, per_aspect = loop_oracle_classification(rows, params, config)
-            assert_allclose(preds.overall.data, overall, atol=1e-12, rtol=0)
-            for got, want in zip(preds.per_aspect, per_aspect):
-                assert_allclose(got.data, want, atol=1e-12, rtol=0)
+        ok, detail = head_oracle_check("C2", np.random.default_rng(43), instances=100)
+        assert ok, detail
 
     def test_forced_overall_attribution_equivalence(self):
         # with all attribution mass on the overall slot, the overall
@@ -241,15 +218,8 @@ class TestR:
         assert float(preds.per_aspect[0].data) == pytest.approx(3.5, abs=1e-6)
 
     def test_weighted_average_oracle_100_instances(self):
-        rng = np.random.default_rng(44)
-        for _ in range(100):
-            config, params, u, n = random_instance(rng, "R")
-            preds, _ = head_forward(u, params, config)
-            rows = [u.values.data[i] for i in range(n)]
-            overall, per_aspect = weighted_average_oracle(rows, params, config)
-            assert float(preds.overall.data) == pytest.approx(overall, abs=1e-12)
-            for got, want in zip(preds.per_aspect, per_aspect):
-                assert float(got.data) == pytest.approx(want, abs=1e-12)
+        ok, detail = head_oracle_check("R", np.random.default_rng(44), instances=100)
+        assert ok, detail
 
     def test_bounded_weighted_average(self):
         rng = np.random.default_rng(45)
@@ -275,17 +245,35 @@ class TestR:
 class TestFlat:
     @pytest.mark.parametrize("variant", ["flat-c", "flat-r"])
     def test_loop_oracle_100_instances(self, variant):
-        rng = np.random.default_rng(50)
-        for _ in range(100):
-            config, params, u, n = random_instance(rng, variant)
+        ok, detail = head_oracle_check(variant, np.random.default_rng(50), instances=100)
+        assert ok, detail
+
+
+class TestHeadOracleCheck:
+    """Faults the shared oracle loop reports besides a difference above tol."""
+
+    def test_nan_output_fails(self, monkeypatch):
+        def nan_overall(u, params, config):
             preds, attribution = head_forward(u, params, config)
-            assert attribution is None
-            rows = [u.values.data[i] for i in range(n)]
-            overall, per_aspect = flat_loop_oracle(rows, params, config)
-            assert_allclose(preds.overall.data, overall, rtol=0, atol=1e-12)
-            assert len(preds.per_aspect) == config.n_aspects
-            for got, want in zip(preds.per_aspect, per_aspect):
-                assert_allclose(got.data, want, rtol=0, atol=1e-12)
+            preds.overall.data = np.full_like(preds.overall.data, np.nan)
+            return preds, attribution
+
+        monkeypatch.setattr("saam.selftest.head_forward", nan_overall)
+        ok, detail = head_oracle_check("R", np.random.default_rng(0))
+        assert not ok
+        assert detail == "max abs diff nan"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_attribution_presence_follows_heads_table(self, monkeypatch, variant):
+        def flip_attribution(u, params, config):
+            preds, attribution = head_forward(u, params, config)
+            return preds, (AttributionResult(np.ones((1, 1)), np.zeros(1), np.zeros((1, 1)),
+                                             variant) if attribution is None else None)
+
+        monkeypatch.setattr("saam.selftest.head_forward", flip_attribution)
+        ok, detail = head_oracle_check(variant, np.random.default_rng(0))
+        assert not ok
+        assert detail.startswith("attribution")
 
 
 class TestMaskInvariance:

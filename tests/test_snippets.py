@@ -50,6 +50,11 @@ class TestExtractSnippets:
         got = extract_snippets(make_doc(3), att, ASPECTS, "Value", polarity="highest", top_k=1)
         assert got[0].sentence_index == 1
 
+    def test_weight_equal_to_tau_is_kept(self):
+        att = make_attribution([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]], [1.0, 2.0])
+        got = extract_snippets(make_doc(2), att, ASPECTS, "Value", tau=0.5)
+        assert [s.sentence_index for s in got] == [0]
+
     def test_nothing_clears_tau(self):
         att = make_attribution([[0.1, 0.45, 0.45]] * 2, [1.0, 2.0])
         assert extract_snippets(make_doc(2), att, ASPECTS, "Value", tau=0.9) == []
@@ -83,6 +88,13 @@ class TestExplainDiscrepancy:
         att = make_attribution([[0.5, 0.3, 0.2]], [3.0])
         preds = regression_preds(3.0, [3.0, 3.2, 2.8])
         assert explain_discrepancy(make_doc(1), preds, att, ASPECTS) == []
+
+    def test_exactly_margin_from_overall_is_no_discrepancy(self):
+        # Value sits exactly margin below overall and Room exactly margin
+        # above; both have sentences that clear tau
+        att = make_attribution([[0.4, 0.35, 0.25]] * 2, [1.0, 5.0])
+        preds = regression_preds(3.0, [2.0, 4.0, 3.0])
+        assert explain_discrepancy(make_doc(2), preds, att, ASPECTS, margin=1.0) == []
 
     def test_low_aspect_gets_lowest_snippet(self):
         att = make_attribution([[0.9, 0.05, 0.05], [0.8, 0.1, 0.1]], [1.5, 4.0])
