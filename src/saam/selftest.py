@@ -78,14 +78,14 @@ def op_gradcheck_cases():
     ]
 
 
-def toy_encoder_config(kind: str, vocab_size: int = 12) -> EncoderConfig:
+def toy_encoder_config(kind: str) -> EncoderConfig:
     d = TOY_DIMS["d"]
     if kind == "cnn":
-        return EncoderConfig("cnn", vocab_size=vocab_size, embedding_dim=4,
+        return EncoderConfig("cnn", vocab_size=12, embedding_dim=4,
                              cnn_filter_widths=(2, 3), cnn_filters_per_width=d // 2)
     if kind == "gru":
-        return EncoderConfig("gru", vocab_size=vocab_size, embedding_dim=4, gru_hidden=d)
-    return EncoderConfig("mean", vocab_size=vocab_size, embedding_dim=d)
+        return EncoderConfig("gru", vocab_size=12, embedding_dim=4, gru_hidden=d)
+    return EncoderConfig("mean", vocab_size=12, embedding_dim=d)
 
 
 def toy_train_config(encoder_kind: str, variant: str) -> TrainConfig:
@@ -94,12 +94,11 @@ def toy_train_config(encoder_kind: str, variant: str) -> TrainConfig:
                        n_classes=TOY_DIMS["n_classes"], t_max=8)
 
 
-def model_gradcheck(encoder_kind: str, variant: str, seed: int = 0) -> ad.GradCheckReport:
+def model_gradcheck(encoder_kind: str, variant: str) -> ad.GradCheckReport:
     """Full forward (encoder + head + loss) gradient check at toy dims."""
     config = toy_train_config(encoder_kind, variant)
-    model = SaamModel(config.encoder, config.head_config(), seed=seed,
-                      t_max=config.t_max)
-    rng = np.random.default_rng(seed)
+    model = SaamModel(config.encoder, config.head_config(), seed=0, t_max=config.t_max)
+    rng = np.random.default_rng(0)
     sentences = [[int(rng.integers(2, 12)) for _ in range(int(rng.integers(3, 6)))]
                  for _ in range(3)]
     overall, aspects = (2.0, [1.0, 3.0]) if model.kind == "classification" else (2.5, [1.5, 3.5])
@@ -112,12 +111,12 @@ def model_gradcheck(encoder_kind: str, variant: str, seed: int = 0) -> ad.GradCh
     return ad.grad_check(build, model.params)
 
 
-def head_oracle_check(variant: str, rng: np.random.Generator, instances: int = 25,
-                      tol: float = 1e-12):
+def head_oracle_check(variant: str, rng: np.random.Generator, instances: int = 25):
     """Compare the head against its brute-force loop oracle on ``instances``
     random heads drawn from ``rng``; returns (passed, detail). A difference
-    above ``tol`` (or NaN), an aspect output count other than the oracle's, or
-    an attribution result the variant's ``HEADS`` row does not call for fails."""
+    above 1e-12 (or NaN), an output shape or aspect output count other than
+    the oracle's, or an attribution result the variant's ``HEADS`` row does
+    not call for fails."""
     has_attribution = HEADS[variant].slot_labels is not None
     worst = 0.0
     for _ in range(instances):
@@ -129,8 +128,10 @@ def head_oracle_check(variant: str, rng: np.random.Generator, instances: int = 2
         if (attribution is not None) != has_attribution:
             return False, f"attribution {'missing' if has_attribution else 'from a flat head'}"
         for got, want in zip([preds.overall, *preds.per_aspect], [overall, *per_aspect]):
+            if got.data.shape != np.shape(want):
+                return False, f"output shape {got.data.shape}, oracle {np.shape(want)}"
             worst = float(np.maximum(worst, np.max(np.abs(got.data - want))))
-    return bool(worst <= tol), f"max abs diff {worst:.2e}"
+    return bool(worst <= 1e-12), f"max abs diff {worst:.2e}"
 
 
 def run_selftest(corrupt_op: str | None = None):

@@ -263,6 +263,18 @@ class TestHeadOracleCheck:
         assert not ok
         assert detail == "max abs diff nan"
 
+    def test_broadcastable_shape_fails(self, monkeypatch):
+        # (1, C) against the oracle's (C,) broadcasts to a zero difference
+        def row_overall(u, params, config):
+            preds, attribution = head_forward(u, params, config)
+            preds.overall.data = preds.overall.data.reshape(1, -1)
+            return preds, attribution
+
+        monkeypatch.setattr("saam.selftest.head_forward", row_overall)
+        ok, detail = head_oracle_check("C1", np.random.default_rng(0))
+        assert not ok
+        assert detail.startswith("output shape (1, ")
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_attribution_presence_follows_heads_table(self, monkeypatch, variant):
         def flip_attribution(u, params, config):
