@@ -9,16 +9,24 @@ gradients into every tensor that requires them. ``grad_check`` verifies any
 recorded computation against central finite differences.
 
 Gradients are dense arrays shaped like their tensors, allocated on first
-use and accumulated until ``zero_grads``. The one exception to writing a
-full-size gradient per op is ``embedding_lookup``: its backward scatters
+use and accumulated until ``zero_grads``. Two ops add into a gradient in
+place instead of writing a full-size one: ``embedding_lookup`` scatters
 only the rows a lookup read into the table's gradient, so a table's
 gradient is one dense buffer per ``zero_grads`` round (a training batch),
-however many lookups feed it.
+however many lookups feed it; and ``conv_max_pool`` adds each window's
+gradient into the rows of ``emb.grad`` that the window read.
+
+``gru_scan`` and ``conv_max_pool`` are fused encoder ops: each records one
+tape entry for what would otherwise be a chain of per-token or per-window
+ops, and repeats that chain's floating-point operations and gradient
+summation order exactly, so its results are bit-identical to the chain's
+(the chains are kept as references in ``saam.oracles``).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +43,16 @@ class NumericError(ArithmeticError):
 # When enabled, every op scans its output for NaN/Inf. Cheap at the array
 # sizes this engine targets, so it defaults to on.
 _debug_checks = True
+
+
+def _all_finite(data) -> bool:
+    """True when no element of ``data`` is NaN or Inf.
+
+    A NaN or Inf addend never sums back to a finite value, so a finite sum
+    proves every element finite. Only a non-finite sum (a NaN or Inf, or
+    finite values whose sum overflows) needs the elementwise scan.
+    """
+    return math.isfinite(np.add.reduce(data, axis=None)) or bool(np.isfinite(data).all())
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -147,7 +165,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 
 def _make(data: np.ndarray, parents, backward_fn, op_name: str) -> Tensor:
-    if _debug_checks and not np.all(np.isfinite(data)):
+    if _debug_checks and not _all_finite(data):
         raise NumericError(f"{op_name} produced non-finite values")
     if _graph_stack and any(p.requires_grad for p in parents):
         out = Tensor(data, requires_grad=True)
@@ -334,11 +352,15 @@ def tanh(x: Tensor) -> Tensor:
     return _make(y, (x,), backward_fn, "tanh")
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid_values(d: np.ndarray) -> np.ndarray:
     # branch on sign so exp never overflows
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    ex = np.exp(-np.abs(d))
+    den = 1.0 + ex
+    return np.where(d >= 0, 1.0 / den, ex / den)
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid_values(x.data)
 
     def backward_fn(out):
         _accumulate(x, out.grad * y * (1.0 - y))
@@ -523,6 +545,149 @@ def concat(vectors) -> Tensor:
             _accumulate(v, out.grad[offsets[i]:offsets[i + 1]])
 
     return _make(out_data, tuple(vectors), backward_fn, "concat")
+
+
+# ---------------------------------------------------------------------------
+# fused encoder ops
+# ---------------------------------------------------------------------------
+
+def _add_rows_in_place(t: Tensor, start: int, rows: np.ndarray) -> None:
+    """Add ``rows`` into ``t.grad[start:start + len(rows)]``, allocating it."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad[start:start + rows.shape[0]] += rows
+
+
+def gru_scan(emb: Tensor, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
+             br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
+    """Final ``[H]`` state of a GRU run from a zero state over the rows of
+    ``emb`` (``[T, e]``, T >= 1), recorded as one tape entry.
+
+    Per token x: ``z = sigmoid((x@Wz + h@Uz) + bz)``, ``r`` likewise,
+    ``cand = tanh((x@Wh + (r*h)@Uh) + bh)`` and ``h = z*h + (1-z)*cand``,
+    one ``(1, e) @ (e, H)`` product per gate and token (a product batched
+    over the tokens rounds differently). The backward walks the tokens from
+    last to first and adds into every gradient in the reverse-replay order
+    of the per-token op chain: each token's parameter terms go into
+    ``p.grad`` one token at a time, the gradient of the previous state sums
+    the ``z*h``, ``r*h``, ``@ Ur.T`` and ``@ Uz.T`` terms in that order, and
+    each token's input gradient the ``Wh``, ``Wr`` and ``Wz`` terms. The
+    debug scan checks every gate pre-activation: each intermediate of the
+    chain is finite whenever they are.
+    """
+    if emb.data.ndim != 2 or emb.shape[0] < 1:
+        raise DimensionError(f"gru_scan needs a [T, e] input with T >= 1, got {emb.shape}")
+    e, h_dim = emb.shape[1], uz.shape[0]
+    for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
+        if w.shape != (e, h_dim) or u.shape != (h_dim, h_dim) or b.shape != (1, h_dim):
+            raise DimensionError(f"gru_scan: gate shapes {w.shape}, {u.shape}, {b.shape} do not "
+                                 f"fit input width {e} and hidden size {h_dim}")
+    if h_dim < 1:
+        raise DimensionError("gru_scan needs a hidden size >= 1")
+    Wz, Uz, Bz = wz.data, uz.data, bz.data
+    Wr, Ur, Br = wr.data, ur.data, br.data
+    Wh, Uh, Bh = wh.data, uh.data, bh.data
+    h = np.zeros((1, h_dim))
+    steps = []
+    for t in range(emb.shape[0]):
+        x = emb.data[t:t + 1].copy()
+        pre_z = x @ Wz + h @ Uz + Bz
+        pre_r = x @ Wr + h @ Ur + Br
+        r = _sigmoid_values(pre_r)
+        rh = r * h
+        pre_h = x @ Wh + rh @ Uh + Bh
+        if _debug_checks and not (_all_finite(pre_z) and _all_finite(pre_r)
+                                  and _all_finite(pre_h)):
+            raise NumericError("gru_scan produced non-finite values")
+        z = _sigmoid_values(pre_z)
+        cand = np.tanh(pre_h)
+        one_minus_z = 1.0 - z
+        steps.append((x, h, z, r, rh, cand, one_minus_z))
+        h = z * h + one_minus_z * cand
+
+    def backward_fn(out):
+        g = out.grad.reshape(1, h_dim)
+        for t in range(len(steps) - 1, -1, -1):
+            x, h, z, r, rh, cand, one_minus_z = steps[t]
+            g_z = -(g * cand) + g * h
+            g_h_prev = g * z
+            g_cand = (g * one_minus_z) * (1.0 - cand * cand)
+            _accumulate(bh, g_cand)
+            g_rh = g_cand @ Uh.T
+            _accumulate(uh, rh.T @ g_cand)
+            g_h_prev = g_h_prev + g_rh * r
+            g_x = g_cand @ Wh.T
+            _accumulate(wh, x.T @ g_cand)
+            g_r = (g_rh * h) * r * (1.0 - r)
+            _accumulate(br, g_r)
+            g_h_prev = g_h_prev + g_r @ Ur.T
+            _accumulate(ur, h.T @ g_r)
+            g_x = g_x + g_r @ Wr.T
+            _accumulate(wr, x.T @ g_r)
+            g_z = g_z * z * (1.0 - z)
+            _accumulate(bz, g_z)
+            g_h_prev = g_h_prev + g_z @ Uz.T
+            _accumulate(uz, h.T @ g_z)
+            g_x = g_x + g_z @ Wz.T
+            _accumulate(wz, x.T @ g_z)
+            _add_rows_in_place(emb, t, g_x)
+            g = g_h_prev
+
+    return _make(h.reshape(h_dim), (emb, wz, uz, bz, wr, ur, br, wh, uh, bh), backward_fn,
+                 "gru_scan")
+
+
+def conv_max_pool(emb: Tensor, w: Tensor, b: Tensor, width: int) -> Tensor:
+    """Kim-style convolution over the rows of ``emb`` (``[n, e]``, n >= 1)
+    with ``width``-row windows, relu, and max over positions: ``[f]``.
+
+    The ``[P, width*e]`` window matrix meets ``w`` (``[width*e, f]``) in one
+    matmul, and ``b`` (``[f]``) is added per position. A sentence shorter
+    than ``width`` is zero-padded to ``width`` rows, leaving one window; the
+    padding is structural, not a token's embedding. Ties in the max send the
+    gradient to the first maximal position. The backward repeats the
+    per-window op chain's arithmetic: the bias gradient is
+    ``ones(P) @ g`` and the window gradients add into ``emb.grad`` in place,
+    each row summing its windows from the last to the first.
+    """
+    width = int(width)
+    if emb.data.ndim != 2 or emb.shape[0] < 1:
+        raise DimensionError(f"conv_max_pool needs a [n, e] input with n >= 1, got {emb.shape}")
+    if width < 1:
+        raise DimensionError(f"conv_max_pool needs a width >= 1, got {width}")
+    n, e = emb.shape
+    if w.data.ndim != 2 or w.shape[0] != width * e or b.shape != (w.shape[1],):
+        raise DimensionError(f"conv_max_pool: filter {w.shape} and bias {b.shape} do not fit "
+                             f"width {width} over {e}-wide rows")
+    if n < width:
+        padded = np.zeros((width, e))
+        padded[:n] = emb.data
+    else:
+        padded = emb.data
+    positions = max(n - width + 1, 1)
+    windows = padded[np.arange(positions)[:, None] + np.arange(width)].reshape(
+        positions, width * e)
+    pre = windows @ w.data + b.data
+    if _debug_checks and not _all_finite(pre):
+        raise NumericError("conv_max_pool produced non-finite values")
+    acts = np.maximum(pre, 0.0)
+    argmax = np.argmax(acts, axis=0)  # first occurrence on ties
+    columns = np.arange(acts.shape[1])
+
+    def backward_fn(out):
+        g = np.zeros_like(acts)
+        g[argmax, columns] = out.grad
+        g = g * (pre > 0.0)
+        _accumulate(b, np.ones(positions) @ g)
+        _accumulate(w, windows.T @ g)
+        if emb.requires_grad:
+            g_windows = (g @ w.data.T).reshape(positions, width, e)
+            # row k of every window at once: row i sums windows i, i-1, ...
+            for k in range(min(width, n)):
+                _add_rows_in_place(emb, k, g_windows[:, k])
+
+    return _make(acts[argmax, columns], (emb, w, b), backward_fn, "conv_max_pool")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,13 @@ class EncoderConfig:
         self.cnn_filter_widths = tuple(self.cnn_filter_widths)
         if self.kind == "gru" and self.gru_hidden is None:
             self.gru_hidden = self.embedding_dim
+        if not self.cnn_filter_widths or min(self.cnn_filter_widths) < 1:
+            raise ValueError(f"cnn_filter_widths must be one or more widths >= 1, "
+                             f"got {list(self.cnn_filter_widths)}")
+        for name in ("embedding_dim", "cnn_filters_per_width", "gru_hidden"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
     @property
     def feature_dim(self) -> int:
@@ -110,7 +117,8 @@ def encode_mean(token_ids, params, config: EncoderConfig) -> Tensor:
 
 
 def encode_cnn(token_ids, params, config: EncoderConfig) -> Tensor:
-    """Per filter width: valid-window convolution, relu, max over time.
+    """Per filter width: valid-window convolution, relu, max over time
+    (``conv_max_pool``), the widths' features concatenated.
 
     Sentences shorter than a filter width are zero-padded up to it so the
     single remaining window is still valid; the zero padding is structural,
@@ -118,43 +126,19 @@ def encode_cnn(token_ids, params, config: EncoderConfig) -> Tensor:
     """
     if not token_ids:
         return _zero_vector(config.feature_dim)
-    e = config.embedding_dim
     emb = ad.embedding_lookup(params["encoder.embedding"], token_ids)
-    n = len(token_ids)
-    pooled = []
-    for w in config.cnn_filter_widths:
-        padded = ad.pad_rows(emb, w) if n < w else emb
-        positions = max(n - w + 1, 1)
-        windows = [ad.reshape(ad.slice_rows(padded, p, p + w), (w * e,)) for p in range(positions)]
-        stacked = ad.stack_rows(windows)
-        acts = ad.matmul(stacked, params[f"encoder.cnn.w{w}"])
-        bias = ad.outer(ad.constant(np.ones(positions)), params[f"encoder.cnn.b{w}"])
-        acts = ad.relu(ad.add(acts, bias))
-        pooled.append(ad.max_over_axis(acts, 0))
-    return ad.concat(pooled)
+    return ad.concat([ad.conv_max_pool(emb, params[f"encoder.cnn.w{w}"],
+                                       params[f"encoder.cnn.b{w}"], w)
+                      for w in config.cnn_filter_widths])
 
 
 def encode_gru(token_ids, params, config: EncoderConfig) -> Tensor:
-    """GRU over real tokens only; returns the final hidden state."""
-    h_dim = config.gru_hidden
+    """GRU over real tokens only (``gru_scan``); returns the final hidden state."""
     if not token_ids:
-        return _zero_vector(h_dim)
+        return _zero_vector(config.gru_hidden)
     emb = ad.embedding_lookup(params["encoder.embedding"], token_ids)
-    h = ad.constant(np.zeros((1, h_dim)))
-    ones = ad.constant(np.ones((1, h_dim)))
-    for t in range(len(token_ids)):
-        x = ad.slice_rows(emb, t, t + 1)
-        z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["encoder.gru.wz"]),
-                                     ad.matmul(h, params["encoder.gru.uz"])),
-                              params["encoder.gru.bz"]))
-        r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["encoder.gru.wr"]),
-                                     ad.matmul(h, params["encoder.gru.ur"])),
-                              params["encoder.gru.br"]))
-        cand = ad.tanh(ad.add(ad.add(ad.matmul(x, params["encoder.gru.wh"]),
-                                     ad.matmul(ad.mul(r, h), params["encoder.gru.uh"])),
-                              params["encoder.gru.bh"]))
-        h = ad.add(ad.mul(z, h), ad.mul(ad.sub(ones, z), cand))
-    return ad.reshape(h, (h_dim,))
+    return ad.gru_scan(emb, *(params[f"encoder.gru.{kind}{gate}"]
+                              for gate in "zrh" for kind in "wub"))
 
 
 _ENCODE = {"cnn": encode_cnn, "gru": encode_gru, "mean": encode_mean}

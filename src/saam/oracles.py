@@ -1,8 +1,12 @@
 """Brute-force oracles for every head variant (``HEAD_ORACLES``), shared by
-the self-test and the unit tests, plus the random heads they are run on.
+the self-test and the unit tests, plus the random heads they are run on,
+and the op-chain references for the fused CNN and GRU encoders.
 
-The oracles use explicit python loops over sentences, slots, features and
-classes and share no arithmetic with ``heads``, so the two can disagree.
+The head oracles use explicit python loops over sentences, slots, features
+and classes and share no arithmetic with ``heads``, so the two can disagree.
+The encoder references (``ENCODER_REFERENCES``) build each sentence from the
+elementary tape ops, one chain per window or token; the fused
+``conv_max_pool`` and ``gru_scan`` must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .encoders import SentenceEmbeddingMatrix
+from .encoders import EncoderConfig, SentenceEmbeddingMatrix
 from .heads import HeadConfig, init_head_params
 
 
@@ -107,3 +111,49 @@ HEAD_ORACLES = {
     "flat-c": flat_loop_oracle,
     "flat-r": flat_loop_oracle,
 }
+
+
+def encode_cnn_reference(token_ids, params, config: EncoderConfig):
+    """The CNN encoder as per-window ``slice_rows``/``reshape`` chains."""
+    if not token_ids:
+        return ad.constant(np.zeros(config.feature_dim))
+    e = config.embedding_dim
+    emb = ad.embedding_lookup(params["encoder.embedding"], token_ids)
+    n = len(token_ids)
+    pooled = []
+    for w in config.cnn_filter_widths:
+        padded = ad.pad_rows(emb, w) if n < w else emb
+        positions = max(n - w + 1, 1)
+        windows = [ad.reshape(ad.slice_rows(padded, p, p + w), (w * e,)) for p in range(positions)]
+        stacked = ad.stack_rows(windows)
+        acts = ad.matmul(stacked, params[f"encoder.cnn.w{w}"])
+        bias = ad.outer(ad.constant(np.ones(positions)), params[f"encoder.cnn.b{w}"])
+        acts = ad.relu(ad.add(acts, bias))
+        pooled.append(ad.max_over_axis(acts, 0))
+    return ad.concat(pooled)
+
+
+def encode_gru_reference(token_ids, params, config: EncoderConfig):
+    """The GRU encoder as a 21-op chain per token."""
+    h_dim = config.gru_hidden
+    if not token_ids:
+        return ad.constant(np.zeros(h_dim))
+    emb = ad.embedding_lookup(params["encoder.embedding"], token_ids)
+    h = ad.constant(np.zeros((1, h_dim)))
+    ones = ad.constant(np.ones((1, h_dim)))
+    for t in range(len(token_ids)):
+        x = ad.slice_rows(emb, t, t + 1)
+        z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["encoder.gru.wz"]),
+                                     ad.matmul(h, params["encoder.gru.uz"])),
+                              params["encoder.gru.bz"]))
+        r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, params["encoder.gru.wr"]),
+                                     ad.matmul(h, params["encoder.gru.ur"])),
+                              params["encoder.gru.br"]))
+        cand = ad.tanh(ad.add(ad.add(ad.matmul(x, params["encoder.gru.wh"]),
+                                     ad.matmul(ad.mul(r, h), params["encoder.gru.uh"])),
+                              params["encoder.gru.bh"]))
+        h = ad.add(ad.mul(z, h), ad.mul(ad.sub(ones, z), cand))
+    return ad.reshape(h, (h_dim,))
+
+
+ENCODER_REFERENCES = {"cnn": encode_cnn_reference, "gru": encode_gru_reference}

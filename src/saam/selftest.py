@@ -1,6 +1,8 @@
 """Built-in numerical self-test: gradient checks for every tensor op and
-for each encoder/head combination at toy sizes, plus comparisons of every
-head variant against its brute-force loop oracle (``saam.oracles``).
+for each encoder/head combination at toy sizes, comparisons of every head
+variant against its brute-force loop oracle (``saam.oracles``), and
+bit-for-bit comparisons of the fused CNN and GRU encoders with their
+op-chain references.
 
 Each check is written only here: the command-line ``selftest``, the unit
 tests and the acceptance suite all run it from this module. Each check
@@ -12,16 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .encoders import EncoderConfig
+from .encoders import EncoderConfig, encode_sentence, init_encoder_params
 from .heads import HEADS, VARIANTS, head_forward
 from .model import SaamModel
-from .oracles import HEAD_ORACLES, random_head_instance
+from .oracles import ENCODER_REFERENCES, HEAD_ORACLES, random_head_instance
 from .text import ReviewDocument
 from .training import TrainConfig, document_loss
 
 TOY_DIMS = {"d": 8, "s_max": 4, "n_aspects": 2, "n_classes": 3}
-MODEL_GRADCHECK_PAIRS = tuple((encoder_kind, variant) for encoder_kind in ("cnn", "gru")
-                              for variant in ("C1", "C2", "R"))
+MODEL_GRADCHECK_PAIRS = tuple((encoder_kind, variant) for encoder_kind in ("mean", "cnn", "gru")
+                              for variant in VARIANTS)
 
 
 def _weighted(t, seed):
@@ -44,6 +46,12 @@ def op_gradcheck_cases():
     table = ad.parameter(rng.normal(size=(4, 3)))
     m = ad.parameter(rng.normal(size=(3, 4)) * 2.0)
     sc = ad.parameter(rng.normal(size=()) + 3.0)
+    seq = ad.parameter(rng.normal(size=(3, 2)))
+    gru = {f"{kind}{gate}": ad.parameter(rng.normal(size=shape)) for gate in "zrh"
+           for kind, shape in (("w", (2, 3)), ("u", (3, 3)), ("b", (1, 3)))}
+    filt2 = ad.parameter(rng.normal(size=(4, 3)))
+    filt4 = ad.parameter(rng.normal(size=(8, 3)))
+    fbias = ad.parameter(rng.normal(size=3))
     return [
         ("matmul", lambda: _weighted(ad.matmul(a, b), 0), {"a": a, "b": b}),
         ("softmax_lastdim", lambda: _weighted(ad.softmax_lastdim(a), 1), {"a": a}),
@@ -75,6 +83,12 @@ def op_gradcheck_cases():
         ("slice_rows", lambda: _weighted(ad.slice_rows(a, 1, 3), 18), {"a": a}),
         ("pad_rows", lambda: _weighted(ad.pad_rows(a, 5), 19), {"a": a}),
         ("concat", lambda: _weighted(ad.concat([u, v]), 20), {"u": u, "v": v}),
+        ("gru_scan", lambda: _weighted(ad.gru_scan(seq, *gru.values()), 23), {"seq": seq, **gru}),
+        ("conv_max_pool", lambda: _weighted(ad.conv_max_pool(seq, filt2, fbias, 2), 24),
+         {"seq": seq, "filt2": filt2, "fbias": fbias}),
+        # a sentence shorter than the width: one zero-padded window
+        ("conv_max_pool_short", lambda: _weighted(ad.conv_max_pool(seq, filt4, fbias, 4), 25),
+         {"seq": seq, "filt4": filt4, "fbias": fbias}),
     ]
 
 
@@ -134,6 +148,48 @@ def head_oracle_check(variant: str, rng: np.random.Generator, instances: int = 2
     return bool(worst <= 1e-12), f"max abs diff {worst:.2e}"
 
 
+def _encode_with_grads(encode, sentences, weights, config: EncoderConfig) -> dict:
+    """Output and gradients of a weighted sum of ``encode`` over ``sentences``,
+    all recorded on one Graph, from fixed random parameters."""
+    params = init_encoder_params(config, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    for p in params.values():
+        p.data[...] = rng.normal(scale=0.5, size=p.shape)  # non-zero biases too
+    with ad.Graph():
+        out = ad.concat([encode(s, params, config) for s in sentences])
+        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(weights))))
+    return {"output": out.data, **{name: p.grad for name, p in params.items()}}
+
+
+def fused_encoder_check(kind: str):
+    """Compare the fused ``cnn`` or ``gru`` encoder with its op-chain
+    reference (``saam.oracles.ENCODER_REFERENCES``); returns (passed, detail).
+
+    The output and every parameter and embedding-table gradient must be
+    equal bit for bit, on sentences of 1-10 tokens from six ids (so ids
+    repeat), CNN widths below, equal to and above the sentence length, and
+    two sentences sharing one Graph.
+    """
+    if kind == "cnn":
+        config = EncoderConfig("cnn", vocab_size=8, embedding_dim=3,
+                               cnn_filter_widths=(1, 4, 11), cnn_filters_per_width=4)
+    else:
+        config = EncoderConfig("gru", vocab_size=8, embedding_dim=3, gru_hidden=5)
+    rng = np.random.default_rng(2)
+    cases = [[rng.integers(2, 8, size=n).tolist()] for n in range(1, 11)]
+    cases.append([rng.integers(2, 8, size=n).tolist() for n in (3, 7)])
+    for sentences in cases:
+        weights = rng.normal(size=len(sentences) * config.feature_dim)
+        got = _encode_with_grads(encode_sentence, sentences, weights, config)
+        want = _encode_with_grads(ENCODER_REFERENCES[kind], sentences, weights, config)
+        for name, expected in want.items():
+            actual = got[name]
+            if (actual is None) != (expected is None) or (
+                    expected is not None and not np.array_equal(actual, expected)):
+                return False, f"{name} differs on sentences {sentences}"
+    return True, f"{len(cases)} cases bit-identical"
+
+
 def run_selftest(corrupt_op: str | None = None):
     """Run every check; returns a list of (name, passed, detail) tuples.
 
@@ -163,6 +219,8 @@ def run_selftest(corrupt_op: str | None = None):
         for variant in VARIANTS:
             results.append((f"oracle:{variant}",
                             *head_oracle_check(variant, np.random.default_rng(0))))
+        for kind in ENCODER_REFERENCES:
+            results.append((f"fused:{kind}", *fused_encoder_check(kind)))
     finally:
         if corrupt_op is not None:
             setattr(ad, corrupt_op, original)

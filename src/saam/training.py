@@ -84,8 +84,10 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
+        for name in ("s_max", "t_max", "batch_size", "max_epochs", "patience"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 

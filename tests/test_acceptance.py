@@ -82,7 +82,7 @@ def mean_r_train_config(vocab, n_aspects, seed, **overrides):
     return TrainConfig(**defaults)
 
 
-@criterion(1, "gradient correctness for every op and all six encoder+head combos, < 60 s")
+@criterion(1, "gradient correctness for every op and all fifteen encoder+head combos, < 60 s")
 def test_c01_gradient_correctness():
     started = time.monotonic()
     for name, build, params in op_gradcheck_cases():

@@ -403,6 +403,71 @@ class TestFiniteScan:
         finally:
             ad.set_debug_checks(True)
 
+    def test_finite_values_whose_sum_overflows_pass(self):
+        with np.errstate(over="ignore"):
+            out = ad.scale(constant([1e308, 1e308, -1.0]), 1.0)
+        assert out.data[0] == 1e308
+
+    def test_lone_nan_raises(self):
+        x = np.zeros(50)
+        x[17] = np.nan
+        with pytest.raises(NumericError, match="scale"):
+            ad.scale(constant(x), 1.0)
+
+    def test_both_infinities_raise(self):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="scale"):
+            ad.scale(constant([np.inf, 1.0, -np.inf]), 1.0)
+
+
+class TestFusedEncoderOps:
+    @staticmethod
+    def gru_params(rng, e=3, h=4):
+        return [parameter(rng.normal(size=shape)) for _ in "zrh"
+                for shape in ((e, h), (h, h), (1, h))]
+
+    def test_gru_gate_overflow_raises_although_state_stays_finite(self):
+        rng = np.random.default_rng(0)
+        emb = constant(np.abs(rng.normal(size=(2, 3))) + 0.5)
+        params = self.gru_params(rng)
+        params[0].data[...] = 1e308  # x @ wz overflows: z saturates at 1
+        with np.errstate(over="ignore"):
+            ad.set_debug_checks(False)
+            try:
+                assert np.all(np.isfinite(ad.gru_scan(emb, *params).data))
+            finally:
+                ad.set_debug_checks(True)
+            with pytest.raises(NumericError, match="gru_scan"):
+                ad.gru_scan(emb, *params)
+
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])  # relu hides -inf from the output
+    def test_conv_infinite_bias_raises(self, inf):
+        rng = np.random.default_rng(1)
+        emb = constant(rng.normal(size=(4, 3)))
+        w = parameter(rng.normal(size=(6, 2)))
+        b = parameter(np.array([0.0, inf]))
+        with pytest.raises(NumericError, match="conv_max_pool"):
+            ad.conv_max_pool(emb, w, b, 2)
+
+    def test_shape_contracts(self):
+        rng = np.random.default_rng(2)
+        emb = constant(rng.normal(size=(3, 2)))
+        with pytest.raises(DimensionError):
+            ad.conv_max_pool(emb, parameter(np.zeros((0, 2))), parameter(np.zeros(2)), 0)
+        with pytest.raises(DimensionError):
+            ad.conv_max_pool(emb, parameter(np.zeros((5, 2))), parameter(np.zeros(2)), 2)
+        with pytest.raises(DimensionError):
+            ad.gru_scan(constant(np.zeros((0, 2))), *self.gru_params(rng, e=2))
+        with pytest.raises(DimensionError):
+            ad.gru_scan(emb, *self.gru_params(rng, e=3))
+
+    def test_one_tape_entry_each(self):
+        rng = np.random.default_rng(3)
+        emb = parameter(rng.normal(size=(5, 3)))
+        with Graph() as graph:
+            ad.gru_scan(emb, *self.gru_params(rng))
+            ad.conv_max_pool(emb, parameter(rng.normal(size=(9, 2))), parameter(np.zeros(2)), 3)
+        assert len(graph.ops) == 2
+
 
 class TestGradCheck:
     def test_linear_is_exact(self):

@@ -130,6 +130,30 @@ class TestTrain:
                          "--out", str(tmp_path / "x.ckpt")]) == EXIT_USAGE
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,top,encoder,field", [
+        ("cnn", {}, {"cnn_filter_widths": []}, "cnn_filter_widths"),
+        ("cnn", {}, {"cnn_filter_widths": [0]}, "cnn_filter_widths"),
+        ("cnn", {}, {"cnn_filters_per_width": 0}, "cnn_filters_per_width"),
+        ("gru", {}, {"gru_hidden": 0}, "gru_hidden"),
+        ("mean", {}, {"embedding_dim": 0}, "embedding_dim"),
+        ("mean", {"s_max": 0}, {}, "s_max"),
+        ("mean", {"t_max": 0}, {}, "t_max"),
+        ("mean", {"batch_size": 0}, {}, "batch_size"),
+        ("mean", {"max_epochs": 0}, {}, "max_epochs"),
+    ], ids=["widths=[]", "widths=[0]", "filters=0", "gru_hidden=0", "embedding_dim=0",
+            "s_max=0", "t_max=0", "batch_size=0", "max_epochs=0"])
+    def test_unusable_size_is_usage_error(self, workspace, tmp_path, capsys,
+                                          kind, top, encoder, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"variant": "R", "s_max": 4, **top, "encoder": {
+            "kind": kind, "embedding_dim": 4, **encoder}}))
+        out = tmp_path / "x.ckpt"
+        assert main(["train", "--config", str(bad), "--data", str(workspace["data"]),
+                     "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and field in err[0], err
+        assert not out.exists()
+
     def test_nonzero_dropout_is_usage_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"variant": "R", "s_max": 4,

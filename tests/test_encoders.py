@@ -13,6 +13,7 @@ from saam.encoders import (
     encode_sentence,
     init_encoder_params,
 )
+from saam.selftest import fused_encoder_check
 
 
 def config_for(kind):
@@ -150,6 +151,22 @@ class TestGruEncoder:
 
         report = ad.grad_check(build, params, h=1e-5, tol=1e-4)
         assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("kind", ["cnn", "gru"])
+def test_fused_encoder_matches_op_chain_reference(kind):
+    passed, detail = fused_encoder_check(kind)
+    assert passed, detail
+
+
+@pytest.mark.parametrize("kind", ["cnn", "gru"])
+def test_fused_check_sees_a_last_bit_change(kind, monkeypatch):
+    # the input gradient of either fused op, off by one unit in the last place
+    add_rows = ad._add_rows_in_place
+    monkeypatch.setattr(ad, "_add_rows_in_place",
+                        lambda t, start, rows: add_rows(t, start, rows * (1.0 + 2.0 ** -52)))
+    passed, detail = fused_encoder_check(kind)
+    assert not passed and detail.startswith("encoder.embedding differs"), detail
 
 
 class TestEncodeDocument:
