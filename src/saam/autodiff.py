@@ -16,11 +16,15 @@ gradient is one dense buffer per ``zero_grads`` round (a training batch),
 however many lookups feed it; and ``conv_max_pool`` adds each window's
 gradient into the rows of ``emb.grad`` that the window read.
 
-``gru_scan`` and ``conv_max_pool`` are fused encoder ops: each records one
-tape entry for what would otherwise be a chain of per-token or per-window
-ops, and repeats that chain's floating-point operations and gradient
-summation order exactly, so its results are bit-identical to the chain's
-(the chains are kept as references in ``saam.oracles``).
+``gru_scan`` and ``conv_max_pool`` are fused encoder ops over all the
+sentences of a document: one call takes the N per-sentence embedding
+matrices, returns one row per sentence, and records one tape entry for
+what would otherwise be N chains of per-token or per-window ops. They
+repeat those chains' floating-point operations exactly, using stacked
+products whose items are bit-identical to one-sentence products, and fold
+their parameter gradients in the chains' tape order (sentence N-1 down to
+0), so their results are bit-identical to the chains' (kept as references
+in ``saam.oracles``) and to N one-sentence calls.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ _debug_checks = True
 def _all_finite(data) -> bool:
     """True when no element of ``data`` is NaN or Inf.
 
-    A NaN or Inf addend never sums back to a finite value, so a finite sum
-    proves every element finite. Only a non-finite sum (a NaN or Inf, or
-    finite values whose sum overflows) needs the elementwise scan.
+    The sum of squares (one BLAS dot product) is NaN or Inf whenever an
+    element is, so a finite result proves every element finite. Only a
+    non-finite result (a NaN or Inf, or finite values whose squares
+    overflow) needs the elementwise scan. Unlike a numpy reduction, the dot
+    product never prints an overflow or invalid-value warning.
     """
-    return math.isfinite(np.add.reduce(data, axis=None)) or bool(np.isfinite(data).all())
+    return math.isfinite(np.vdot(data, data)) or bool(np.isfinite(data).all())
 
 
 def set_debug_checks(enabled: bool) -> None:
@@ -529,22 +535,25 @@ def pad_rows(x: Tensor, total_rows: int) -> Tensor:
     return _make(out_data, (x,), backward_fn, "pad_rows")
 
 
-def concat(vectors) -> Tensor:
-    """Concatenate rank-1 tensors."""
-    vectors = list(vectors)
-    if not vectors:
-        raise DimensionError("concat needs at least one vector")
-    for v in vectors:
-        if v.data.ndim != 1:
-            raise DimensionError("concat requires rank-1 tensors")
-    out_data = np.concatenate([v.data for v in vectors])
-    offsets = np.cumsum([0] + [v.data.size for v in vectors])
+def concat(tensors) -> Tensor:
+    """Concatenate tensors along their last axis; every other axis must agree
+    (rank-1 vectors end to end, or ``[N, f_i]`` matrices side by side)."""
+    tensors = list(tensors)
+    if not tensors:
+        raise DimensionError("concat needs at least one tensor")
+    lead = tensors[0].shape[:-1]
+    for t in tensors:
+        if t.data.ndim < 1 or t.shape[:-1] != lead:
+            raise DimensionError(f"concat needs tensors that differ only in the last axis, "
+                                 f"got {[t.shape for t in tensors]}")
+    out_data = np.concatenate([t.data for t in tensors], axis=-1)
+    offsets = np.cumsum([0] + [t.shape[-1] for t in tensors])
 
     def backward_fn(out):
-        for i, v in enumerate(vectors):
-            _accumulate(v, out.grad[offsets[i]:offsets[i + 1]])
+        for i, t in enumerate(tensors):
+            _accumulate(t, out.grad[..., offsets[i]:offsets[i + 1]])
 
-    return _make(out_data, tuple(vectors), backward_fn, "concat")
+    return _make(out_data, tuple(tensors), backward_fn, "concat")
 
 
 # ---------------------------------------------------------------------------
@@ -559,135 +568,242 @@ def _add_rows_in_place(t: Tensor, start: int, rows: np.ndarray) -> None:
         t.grad[start:start + rows.shape[0]] += rows
 
 
-def gru_scan(emb: Tensor, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
+# bound on the product terms one ``_fold`` step forms at once
+_FOLD_CHUNK_BYTES = 1 << 20
+
+
+def _fold(t: Tensor, right: np.ndarray, left: np.ndarray | None = None) -> None:
+    """Add the terms ``right[k]`` (or ``left[k] * right[k]``), k = 0, 1, ...,
+    into ``t.grad`` one after another, as a chain of ``_accumulate`` calls
+    would: ``((grad + term0) + term1) + ...``. Without ``left``, ``right``
+    is overwritten.
+
+    numpy reduces a C-contiguous stack along axis 0 row after row, adding
+    whole terms elementwise; only a one-element term is summed pairwise, so
+    that case takes ``np.add.accumulate``, which is sequential by definition.
+    Products are formed a chunk at a time to bound memory.
+    """
+    if not t.requires_grad or len(right) == 0:
+        return
+    grad = np.zeros_like(t.data) if t.grad is None else t.grad
+    chunk = len(right) if left is None else max(1, _FOLD_CHUNK_BYTES // max(t.data.nbytes, 1))
+    for start in range(0, len(right), chunk):
+        stop = start + chunk
+        terms = right[start:stop] if left is None else left[start:stop] * right[start:stop]
+        terms[0] += grad
+        if grad.size > 1:
+            grad = np.add.reduce(terms, axis=0)
+        else:
+            grad = np.add.accumulate(terms, axis=0)[-1].copy()
+    t.grad = grad
+
+
+def _sentence_inputs(op_name: str, embs) -> tuple:
+    """Validate a document's per-sentence ``[T_i, e]`` inputs; (embs, lengths, e)."""
+    embs = list(embs)
+    if not embs:
+        raise DimensionError(f"{op_name} needs at least one sentence")
+    e = embs[0].shape[1] if embs[0].data.ndim == 2 else -1
+    for emb in embs:
+        if emb.data.ndim != 2 or emb.shape[1] != e or e < 1:
+            raise DimensionError(f"{op_name} needs [T, e] sentences of one width e >= 1, "
+                                 f"got {[emb.shape for emb in embs]}")
+    return embs, [emb.shape[0] for emb in embs], e
+
+
+def gru_scan(embs, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
              br: Tensor, wh: Tensor, uh: Tensor, bh: Tensor) -> Tensor:
-    """Final ``[H]`` state of a GRU run from a zero state over the rows of
-    ``emb`` (``[T, e]``, T >= 1), recorded as one tape entry.
+    """Final states ``[N, H]`` of a GRU run from a zero state over each of
+    the N sentences ``embs`` (``[T_i, e]`` each), recorded as one tape entry.
+    A sentence with no rows gives an exact zero row and receives no gradient.
 
     Per token x: ``z = sigmoid((x@Wz + h@Uz) + bz)``, ``r`` likewise,
-    ``cand = tanh((x@Wh + (r*h)@Uh) + bh)`` and ``h = z*h + (1-z)*cand``,
-    one ``(1, e) @ (e, H)`` product per gate and token (a product batched
-    over the tokens rounds differently). The backward walks the tokens from
-    last to first and adds into every gradient in the reverse-replay order
-    of the per-token op chain: each token's parameter terms go into
-    ``p.grad`` one token at a time, the gradient of the previous state sums
-    the ``z*h``, ``r*h``, ``@ Ur.T`` and ``@ Uz.T`` terms in that order, and
-    each token's input gradient the ``Wh``, ``Wr`` and ``Wz`` terms. The
-    debug scan checks every gate pre-activation: each intermediate of the
-    chain is finite whenever they are.
+    ``cand = tanh((x@Wh + (r*h)@Uh) + bh)`` and ``h = z*h + (1-z)*cand``.
+    Every product is a stacked ``(..., 1, k) @ (k, m)`` one, whose items
+    carry the bits of separate ``(1, k) @ (k, m)`` products (an ``[n, k]``
+    product rounds differently): the input products of all tokens before
+    the scan, the state products once per step. The sentences are ordered
+    by length, so those still running at step t are a prefix, and all of
+    them step together. The backward walks the steps from last to first
+    and repeats the per-token op chain's arithmetic: the gradient of the
+    previous state sums the ``z*h``, ``r*h``, ``@ Ur.T`` and ``@ Uz.T``
+    terms in that order, and each token's input gradient the ``Wh``, ``Wr``
+    and ``Wz`` terms. Parameter terms are folded into ``p.grad`` in the
+    chain's tape order, sentence N-1 down to 0 and within each sentence
+    token last to first, so the result equals N one-sentence calls on one
+    tape bit for bit. The debug scan checks every gate pre-activation of
+    every real token: each intermediate of the chain is finite whenever
+    they are.
     """
-    if emb.data.ndim != 2 or emb.shape[0] < 1:
-        raise DimensionError(f"gru_scan needs a [T, e] input with T >= 1, got {emb.shape}")
-    e, h_dim = emb.shape[1], uz.shape[0]
+    embs, lengths, e = _sentence_inputs("gru_scan", embs)
+    h_dim = uz.shape[0] if uz.data.ndim == 2 else 0
+    if h_dim < 1:
+        raise DimensionError(f"gru_scan needs a hidden size >= 1, got Uz {uz.shape}")
     for w, u, b in ((wz, uz, bz), (wr, ur, br), (wh, uh, bh)):
         if w.shape != (e, h_dim) or u.shape != (h_dim, h_dim) or b.shape != (1, h_dim):
             raise DimensionError(f"gru_scan: gate shapes {w.shape}, {u.shape}, {b.shape} do not "
                                  f"fit input width {e} and hidden size {h_dim}")
-    if h_dim < 1:
-        raise DimensionError("gru_scan needs a hidden size >= 1")
     Wz, Uz, Bz = wz.data, uz.data, bz.data
     Wr, Ur, Br = wr.data, ur.data, br.data
     Wh, Uh, Bh = wh.data, uh.data, bh.data
-    h = np.zeros((1, h_dim))
-    steps = []
-    for t in range(emb.shape[0]):
-        x = emb.data[t:t + 1].copy()
-        pre_z = x @ Wz + h @ Uz + Bz
-        pre_r = x @ Wr + h @ Ur + Br
-        r = _sigmoid_values(pre_r)
+    n = len(embs)
+    order = sorted(range(n), key=lambda i: -lengths[i])  # stable: ties keep sentence order
+    slot = [0] * n  # row of sentence i in the length-ordered stack
+    for s, i in enumerate(order):
+        slot[i] = s
+    steps = max(lengths)
+    running = [sum(1 for length in lengths if length > t) for t in range(steps)]
+    xs = np.zeros((steps, n, 1, e))
+    for s, i in enumerate(order):
+        xs[:lengths[i], s, 0] = embs[i].data
+    states = np.zeros((steps + 1, n, 1, h_dim))  # states[t]: the state before token t
+    # every token's input products at once: stacked, they keep their bits
+    x_z, x_r, x_h = xs @ Wz, xs @ Wr, xs @ Wh
+    parents = (*embs, wz, uz, bz, wr, ur, br, wh, uh, bh)
+    record = bool(_graph_stack) and any(p.requires_grad for p in parents)
+    rh_steps = np.zeros((steps, n, 1, h_dim)) if record else None
+    saved = []
+    for t in range(steps):
+        m = running[t]
+        h = states[t, :m]
+        # the z and r pre-activations side by side, so one sigmoid serves both
+        pre_zr = np.empty((m, 1, 2 * h_dim))
+        np.add(x_z[t, :m] + h @ Uz, Bz, out=pre_zr[..., :h_dim])
+        np.add(x_r[t, :m] + h @ Ur, Br, out=pre_zr[..., h_dim:])
+        zr = _sigmoid_values(pre_zr)
+        z, r = zr[..., :h_dim], zr[..., h_dim:]
         rh = r * h
-        pre_h = x @ Wh + rh @ Uh + Bh
-        if _debug_checks and not (_all_finite(pre_z) and _all_finite(pre_r)
-                                  and _all_finite(pre_h)):
+        pre_h = x_h[t, :m] + rh @ Uh + Bh
+        if _debug_checks and not (_all_finite(pre_zr) and _all_finite(pre_h)):
             raise NumericError("gru_scan produced non-finite values")
-        z = _sigmoid_values(pre_z)
         cand = np.tanh(pre_h)
         one_minus_z = 1.0 - z
-        steps.append((x, h, z, r, rh, cand, one_minus_z))
-        h = z * h + one_minus_z * cand
+        states[t + 1, :m] = z * h + one_minus_z * cand
+        if record:
+            rh_steps[t, :m] = rh
+            saved.append((z, r, cand, one_minus_z))
+    out_data = states[lengths, slot, 0]
 
     def backward_fn(out):
-        g = out.grad.reshape(1, h_dim)
-        for t in range(len(steps) - 1, -1, -1):
-            x, h, z, r, rh, cand, one_minus_z = steps[t]
+        g_state = out.grad.reshape(n, 1, h_dim)[order]
+        g_cands, g_rs, g_zs = (np.zeros((steps, n, 1, h_dim)) for _ in range(3))
+        for t in range(steps - 1, -1, -1):
+            m = running[t]
+            g, h = g_state[:m], states[t, :m]
+            z, r, cand, one_minus_z = saved[t]
             g_z = -(g * cand) + g * h
             g_h_prev = g * z
             g_cand = (g * one_minus_z) * (1.0 - cand * cand)
-            _accumulate(bh, g_cand)
             g_rh = g_cand @ Uh.T
-            _accumulate(uh, rh.T @ g_cand)
             g_h_prev = g_h_prev + g_rh * r
-            g_x = g_cand @ Wh.T
-            _accumulate(wh, x.T @ g_cand)
             g_r = (g_rh * h) * r * (1.0 - r)
-            _accumulate(br, g_r)
             g_h_prev = g_h_prev + g_r @ Ur.T
-            _accumulate(ur, h.T @ g_r)
-            g_x = g_x + g_r @ Wr.T
-            _accumulate(wr, x.T @ g_r)
             g_z = g_z * z * (1.0 - z)
-            _accumulate(bz, g_z)
             g_h_prev = g_h_prev + g_z @ Uz.T
-            _accumulate(uz, h.T @ g_z)
-            g_x = g_x + g_z @ Wz.T
-            _accumulate(wz, x.T @ g_z)
-            _add_rows_in_place(emb, t, g_x)
-            g = g_h_prev
+            g_state[:m] = g_h_prev
+            g_cands[t, :m], g_rs[t, :m], g_zs[t, :m] = g_cand, g_r, g_z
+        # every token's input gradient at once, summing the Wh, Wr and Wz terms
+        g_xs = (g_cands @ Wh.T + g_rs @ Wr.T) + g_zs @ Wz.T
+        # (step, row) of every real token in tape order: sentence N-1 down to
+        # 0, each from its last token to its first
+        tape = [t * n + slot[i] for i in range(n - 1, -1, -1)
+                for t in range(lengths[i] - 1, -1, -1)]
+        x_cols = xs.reshape(steps * n, e, 1)[tape]            # x.T per token
+        h_cols = states[:-1].reshape(steps * n, h_dim, 1)[tape]
+        rh_cols = rh_steps.reshape(steps * n, h_dim, 1)[tape]
+        for g_rows, b, u, u_cols, w in (
+                (g_cands, bh, uh, rh_cols, wh), (g_rs, br, ur, h_cols, wr),
+                (g_zs, bz, uz, h_cols, wz)):
+            g_rows = g_rows.reshape(steps * n, 1, h_dim)[tape]
+            # an outer product x.T @ g is one rounded product per entry
+            _fold(u, g_rows, u_cols)
+            _fold(w, g_rows, x_cols)
+            _fold(b, g_rows)  # last: it overwrites g_rows
+        for i in range(n - 1, -1, -1):
+            _add_rows_in_place(embs[i], 0, g_xs[:lengths[i], slot[i], 0])
 
-    return _make(h.reshape(h_dim), (emb, wz, uz, bz, wr, ur, br, wh, uh, bh), backward_fn,
-                 "gru_scan")
+    return _make(out_data, parents, backward_fn, "gru_scan")
 
 
-def conv_max_pool(emb: Tensor, w: Tensor, b: Tensor, width: int) -> Tensor:
-    """Kim-style convolution over the rows of ``emb`` (``[n, e]``, n >= 1)
-    with ``width``-row windows, relu, and max over positions: ``[f]``.
+def conv_max_pool(embs, w: Tensor, b: Tensor, width: int) -> Tensor:
+    """Kim-style convolution over each of the N sentences ``embs``
+    (``[T_i, e]`` each) with ``width``-row windows, relu, and max over
+    positions: ``[N, f]``, recorded as one tape entry. A sentence with no
+    rows gives an exact zero row and receives no gradient.
 
-    The ``[P, width*e]`` window matrix meets ``w`` (``[width*e, f]``) in one
-    matmul, and ``b`` (``[f]``) is added per position. A sentence shorter
-    than ``width`` is zero-padded to ``width`` rows, leaving one window; the
-    padding is structural, not a token's embedding. Ties in the max send the
-    gradient to the first maximal position. The backward repeats the
-    per-window op chain's arithmetic: the bias gradient is
-    ``ones(P) @ g`` and the window gradients add into ``emb.grad`` in place,
+    Each sentence's ``[P, width*e]`` window matrix meets ``w``
+    (``[width*e, f]``) in one product, and ``b`` (``[f]``) is added per
+    position. Sentences with the same window count P share one stacked
+    ``(n, P, width*e) @ (width*e, f)`` product, whose items are exactly
+    the one-sentence products (a stack padded to a common P is not: for
+    narrow ``f`` a BLAS may round a P-row product differently from the
+    same rows inside a longer one, and a one-window product takes another
+    path altogether). A sentence shorter than ``width`` is zero-padded to
+    ``width`` rows, leaving one window; the padding is structural, not a
+    token's embedding. Positions past a sentence's last window hold zero,
+    so the first-occurrence max never picks them. The backward repeats the
+    per-sentence arithmetic: the filter and bias terms ``windows.T @ g``
+    and ``ones(P) @ g`` each hold one nonzero product per entry (g has one
+    nonzero per column) and are folded into ``p.grad`` from sentence N-1
+    down to 0; the window gradients add into each ``emb.grad`` in place,
     each row summing its windows from the last to the first.
     """
     width = int(width)
-    if emb.data.ndim != 2 or emb.shape[0] < 1:
-        raise DimensionError(f"conv_max_pool needs a [n, e] input with n >= 1, got {emb.shape}")
+    embs, lengths, e = _sentence_inputs("conv_max_pool", embs)
     if width < 1:
         raise DimensionError(f"conv_max_pool needs a width >= 1, got {width}")
-    n, e = emb.shape
     if w.data.ndim != 2 or w.shape[0] != width * e or b.shape != (w.shape[1],):
         raise DimensionError(f"conv_max_pool: filter {w.shape} and bias {b.shape} do not fit "
                              f"width {width} over {e}-wide rows")
-    if n < width:
-        padded = np.zeros((width, e))
-        padded[:n] = emb.data
+    n, k_dim, f = len(embs), width * e, w.shape[1]
+    positions = [max(length - width + 1, 1) if length else 0 for length in lengths]
+    p_max = max(max(positions), 1)
+    tokens = np.zeros((n, p_max + width - 1, e))
+    for i, emb in enumerate(embs):
+        tokens[i, :lengths[i]] = emb.data
+    windows = tokens[:, np.arange(p_max)[:, None] + np.arange(width)].reshape(n, p_max, k_dim)
+    groups = {}  # window count -> sentences with that many windows
+    for i, p in enumerate(positions):
+        if p:
+            groups.setdefault(p, []).append(i)
+    if len(groups) == 1 and len(groups.get(p_max, ())) == n:
+        pre = windows @ w.data + b.data
     else:
-        padded = emb.data
-    positions = max(n - width + 1, 1)
-    windows = padded[np.arange(positions)[:, None] + np.arange(width)].reshape(
-        positions, width * e)
-    pre = windows @ w.data + b.data
+        pre = np.zeros((n, p_max, f))
+        for p, rows in groups.items():
+            pre[rows, :p] = windows[rows, :p] @ w.data + b.data
     if _debug_checks and not _all_finite(pre):
         raise NumericError("conv_max_pool produced non-finite values")
     acts = np.maximum(pre, 0.0)
-    argmax = np.argmax(acts, axis=0)  # first occurrence on ties
-    columns = np.arange(acts.shape[1])
+    top = np.max(acts, axis=1)
+    # the value at the first maximal position: where the max is zero every
+    # position holds +-0 and the first is the one taken
+    out_data = np.where(top == 0.0, acts[:, 0], top)
 
     def backward_fn(out):
-        g = np.zeros_like(acts)
-        g[argmax, columns] = out.grad
-        g = g * (pre > 0.0)
-        _accumulate(b, np.ones(positions) @ g)
-        _accumulate(w, windows.T @ g)
-        if emb.requires_grad:
-            g_windows = (g @ w.data.T).reshape(positions, width, e)
-            # row k of every window at once: row i sums windows i, i-1, ...
-            for k in range(min(width, n)):
-                _add_rows_in_place(emb, k, g_windows[:, k])
+        # g, the gradient of acts, has one nonzero per column: the upstream
+        # gradient at the first maximal position, where the activation is positive
+        g_sel = out.grad * (out_data > 0.0)
+        g = np.zeros_like(pre)
+        g[np.arange(n)[:, None], np.argmax(acts, axis=1), np.arange(f)] = g_sel
+        tape = [i for i in range(n - 1, -1, -1) if positions[i]]
+        # each entry of windows.T @ g and of ones(P) @ g is one product, so
+        # stacking (and the zero windows past P) cannot change a bit
+        _fold(w, windows[tape].transpose(0, 2, 1) @ g[tape])
+        _fold(b, g_sel[tape])
+        if not any(emb.requires_grad for emb in embs):
+            return
+        g_windows = [None] * n
+        for p, rows in groups.items():
+            stacked = (g[rows, :p] @ w.data.T).reshape(len(rows), p, width, e)
+            for j, i in enumerate(rows):
+                g_windows[i] = stacked[j]
+        for i in tape:
+            # row k of every window at once: row r sums windows r, r-1, ...
+            for k in range(min(width, lengths[i])):
+                _add_rows_in_place(embs[i], k, g_windows[i][:, k])
 
-    return _make(acts[argmax, columns], (emb, w, b), backward_fn, "conv_max_pool")
+    return _make(out_data, (*embs, w, b), backward_fn, "conv_max_pool")
 
 
 # ---------------------------------------------------------------------------

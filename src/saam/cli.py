@@ -197,7 +197,7 @@ def _load_train_config(path, data_dir: Path, overrides: dict) -> tuple:
             raise UsageError(f"{path}: unknown encoder config key {key!r}")
 
     vocab = Vocabulary.load(data_dir / "vocab.tsv")
-    aspect_names = json.loads((data_dir / "aspects.json").read_text(encoding="utf-8"))
+    aspect_names = _load_aspect_names(data_dir / "aspects.json")
     encoder_raw["vocab_size"] = vocab.size
     raw["encoder"] = encoder_raw
     raw["n_aspects"] = len(aspect_names)
@@ -208,6 +208,25 @@ def _load_train_config(path, data_dir: Path, overrides: dict) -> tuple:
     except (TypeError, ValueError) as e:
         raise UsageError(f"{path}: {e}")
     return config, vocab, aspect_names
+
+
+def _load_aspect_names(path) -> list:
+    """Aspect names from a JSON file holding a list of distinct names."""
+    try:
+        names = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError:
+        raise CorpusError(f"{path}: aspects file is not UTF-8 JSON") from None
+    if not (isinstance(names, list) and names
+            and all(isinstance(name, str) and name for name in names)
+            and len(set(names)) == len(names)):
+        raise CorpusError(f"{path}: aspects file must be a JSON list of distinct aspect names")
+    return names
+
+
+def _check_aspect_count(path, aspect_names, model) -> None:
+    if len(aspect_names) != model.head_config.n_aspects:
+        raise CorpusError(f"{path}: {len(aspect_names)} aspect names, but the checkpoint's "
+                          f"model rates {model.head_config.n_aspects} aspects")
 
 
 def _corpus_docs(path, vocab, aspect_names):
@@ -259,7 +278,8 @@ def _load_corpus_inputs(args):
     """(model, aspect names, documents) for the attribute and snippets commands."""
     vocab = Vocabulary.load(args.vocab)
     _, model = _model_from_checkpoint(args.checkpoint, vocab)
-    aspect_names = json.loads(Path(args.aspects).read_text(encoding="utf-8"))
+    aspect_names = _load_aspect_names(args.aspects)
+    _check_aspect_count(args.aspects, aspect_names, model)
     return model, aspect_names, _corpus_docs(args.corpus, vocab, aspect_names)
 
 
@@ -267,8 +287,9 @@ def cmd_eval(args) -> int:
     started = time.monotonic()
     data_dir = Path(args.data)
     vocab = Vocabulary.load(data_dir / "vocab.tsv")
-    aspect_names = json.loads((data_dir / "aspects.json").read_text(encoding="utf-8"))
+    aspect_names = _load_aspect_names(data_dir / "aspects.json")
     checkpoint, model = _model_from_checkpoint(args.checkpoint, vocab)
+    _check_aspect_count(data_dir / "aspects.json", aspect_names, model)
     if args.kind and args.kind != model.kind:
         raise UsageError(f"checkpoint is a {model.kind} model, not {args.kind}")
     docs = _load_split(data_dir, args.split, vocab, aspect_names)

@@ -3,9 +3,12 @@
 Three encoders share an embedding table and produce the per-sentence
 feature matrix consumed by the prediction heads: a max-over-time CNN, a
 GRU that returns the hidden state at the last real token, and a
-mean-of-embeddings encoder cheap enough for property tests. Padded token
-positions never reach any encoder; padded sentence slots come back as
-exact zero rows, so downstream masking stays bit-exact.
+mean-of-embeddings encoder cheap enough for property tests. The CNN and
+the GRU encode all the sentences of a document in one fused op call (per
+filter width for the CNN), bit-identical to encoding them one at a time.
+Padded token positions never reach any encoder; padded sentence slots and
+sentences without tokens come back as exact zero rows, so downstream
+masking stays bit-exact.
 """
 
 from __future__ import annotations
@@ -116,56 +119,40 @@ def encode_mean(token_ids, params, config: EncoderConfig) -> Tensor:
     return ad.reduce_mean(emb, axis=0)
 
 
-def encode_cnn(token_ids, params, config: EncoderConfig) -> Tensor:
-    """Per filter width: valid-window convolution, relu, max over time
-    (``conv_max_pool``), the widths' features concatenated.
-
-    Sentences shorter than a filter width are zero-padded up to it so the
-    single remaining window is still valid; the zero padding is structural,
-    not the pad token's embedding, which keeps trailing pads invisible.
-    """
-    if not token_ids:
-        return _zero_vector(config.feature_dim)
-    emb = ad.embedding_lookup(params["encoder.embedding"], token_ids)
-    return ad.concat([ad.conv_max_pool(emb, params[f"encoder.cnn.w{w}"],
-                                       params[f"encoder.cnn.b{w}"], w)
-                      for w in config.cnn_filter_widths])
-
-
-def encode_gru(token_ids, params, config: EncoderConfig) -> Tensor:
-    """GRU over real tokens only (``gru_scan``); returns the final hidden state."""
-    if not token_ids:
-        return _zero_vector(config.gru_hidden)
-    emb = ad.embedding_lookup(params["encoder.embedding"], token_ids)
-    return ad.gru_scan(emb, *(params[f"encoder.gru.{kind}{gate}"]
-                              for gate in "zrh" for kind in "wub"))
-
-
-_ENCODE = {"cnn": encode_cnn, "gru": encode_gru, "mean": encode_mean}
-
-
-def encode_sentence(token_ids, params, config: EncoderConfig) -> Tensor:
-    return _ENCODE[config.kind](token_ids, params, config)
-
-
 def encode_document(sentences, s_max: int, params, config: EncoderConfig,
                     t_max: int | None = None) -> SentenceEmbeddingMatrix:
     """Encode up to s_max sentences; unused slots become zero rows.
 
-    Sentences are truncated to t_max tokens when given. The same parameter
+    Sentences are truncated to t_max tokens when given. Each sentence with
+    tokens gets its own ``embedding_lookup``; the CNN then makes one
+    ``conv_max_pool`` call per filter width over all the sentences
+    (``concat`` joins the widths' features), and the GRU one ``gru_scan``
+    call. The mean encoder runs sentence by sentence. The same parameter
     tensors serve every sentence, so gradients accumulate across sentences
     and documents.
     """
-    d = config.feature_dim
-    rows = []
-    mask = []
+    real = []
     for sent in sentences[:s_max]:
-        real = [t for t in sent if t != 0]
-        if t_max is not None:
-            real = real[:t_max]
-        rows.append(encode_sentence(real, params, config))
-        mask.append(True)
-    while len(rows) < s_max:
-        rows.append(_zero_vector(d))
-        mask.append(False)
-    return SentenceEmbeddingMatrix(ad.stack_rows(rows), mask)
+        tokens = [t for t in sent if t != 0]
+        real.append(tokens if t_max is None else tokens[:t_max])
+    mask = [True] * len(real) + [False] * (s_max - len(real))
+    d = config.feature_dim
+    if config.kind == "mean":
+        rows = [encode_mean(tokens, params, config) for tokens in real]
+        rows += [_zero_vector(d) for _ in range(s_max - len(real))]
+        return SentenceEmbeddingMatrix(ad.stack_rows(rows), mask)
+    if not real:
+        return SentenceEmbeddingMatrix(ad.constant(np.zeros((s_max, d))), mask)
+    table = params["encoder.embedding"]
+    embs = [ad.embedding_lookup(table, tokens) if tokens
+            else ad.constant(np.zeros((0, config.embedding_dim))) for tokens in real]
+    if config.kind == "cnn":
+        values = ad.concat([ad.conv_max_pool(embs, params[f"encoder.cnn.w{w}"],
+                                             params[f"encoder.cnn.b{w}"], w)
+                            for w in config.cnn_filter_widths])
+    else:
+        values = ad.gru_scan(embs, *(params[f"encoder.gru.{kind}{gate}"]
+                                     for gate in "zrh" for kind in "wub"))
+    if len(real) < s_max:
+        values = ad.pad_rows(values, s_max)
+    return SentenceEmbeddingMatrix(values, mask)

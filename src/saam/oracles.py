@@ -5,8 +5,10 @@ and the op-chain references for the fused CNN and GRU encoders.
 The head oracles use explicit python loops over sentences, slots, features
 and classes and share no arithmetic with ``heads``, so the two can disagree.
 The encoder references (``ENCODER_REFERENCES``) build each sentence from the
-elementary tape ops, one chain per window or token; the fused
-``conv_max_pool`` and ``gru_scan`` must match them bit for bit.
+elementary tape ops, one chain per window or token, and
+``encode_document_by_sentence`` stacks them into a document; the fused
+``conv_max_pool`` and ``gru_scan``, which encode a whole document per call,
+must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -157,3 +159,18 @@ def encode_gru_reference(token_ids, params, config: EncoderConfig):
 
 
 ENCODER_REFERENCES = {"cnn": encode_cnn_reference, "gru": encode_gru_reference}
+
+
+def encode_document_by_sentence(encode_sentence, sentences, s_max, params,
+                                config: EncoderConfig, t_max=None):
+    """``encoders.encode_document`` one sentence at a time:
+    ``encode_sentence(tokens, params, config)`` on each sentence's real
+    tokens (truncated to t_max), the rows stacked and zero-padded to s_max.
+    With ``ENCODER_REFERENCES`` it is the op-chain reference document."""
+    rows = []
+    for sent in sentences[:s_max]:
+        tokens = [t for t in sent if t != 0]
+        rows.append(encode_sentence(tokens[:t_max], params, config))
+    mask = [True] * len(rows) + [False] * (s_max - len(rows))
+    rows += [ad.constant(np.zeros(config.feature_dim)) for _ in range(s_max - len(rows))]
+    return SentenceEmbeddingMatrix(ad.stack_rows(rows), mask)

@@ -1,8 +1,9 @@
 """Built-in numerical self-test: gradient checks for every tensor op and
 for each encoder/head combination at toy sizes, comparisons of every head
-variant against its brute-force loop oracle (``saam.oracles``), and
-bit-for-bit comparisons of the fused CNN and GRU encoders with their
-op-chain references.
+variant against its brute-force loop oracle (``saam.oracles``), bit-for-bit
+comparisons of the fused CNN and GRU encoders with their op-chain
+references and of one document-wide fused-op call with one call per
+sentence, and a check of the BLAS properties those comparisons rest on.
 
 Each check is written only here: the command-line ``selftest``, the unit
 tests and the acceptance suite all run it from this module. Each check
@@ -14,10 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .encoders import EncoderConfig, encode_sentence, init_encoder_params
+from . import heads
+from .encoders import EncoderConfig, encode_document, init_encoder_params
 from .heads import HEADS, VARIANTS, head_forward
 from .model import SaamModel
-from .oracles import ENCODER_REFERENCES, HEAD_ORACLES, random_head_instance
+from .oracles import (ENCODER_REFERENCES, HEAD_ORACLES, encode_document_by_sentence,
+                      random_head_instance)
 from .text import ReviewDocument
 from .training import TrainConfig, document_loss
 
@@ -52,6 +55,11 @@ def op_gradcheck_cases():
     filt2 = ad.parameter(rng.normal(size=(4, 3)))
     filt4 = ad.parameter(rng.normal(size=(8, 3)))
     fbias = ad.parameter(rng.normal(size=3))
+    # a ragged document: 3, 1, 0 and 4 tokens, so 2, 1, 0 and 3 width-2 windows
+    doc = [ad.parameter(rng.normal(size=(n, 2))) for n in (3, 1)]
+    doc += [ad.constant(np.zeros((0, 2))), ad.parameter(rng.normal(size=(4, 2)))]
+    doc_params = {f"sent{i}": s for i, s in enumerate(doc) if s.requires_grad}
+    m2 = ad.parameter(rng.normal(size=(3, 2)))
     return [
         ("matmul", lambda: _weighted(ad.matmul(a, b), 0), {"a": a, "b": b}),
         ("softmax_lastdim", lambda: _weighted(ad.softmax_lastdim(a), 1), {"a": a}),
@@ -83,12 +91,19 @@ def op_gradcheck_cases():
         ("slice_rows", lambda: _weighted(ad.slice_rows(a, 1, 3), 18), {"a": a}),
         ("pad_rows", lambda: _weighted(ad.pad_rows(a, 5), 19), {"a": a}),
         ("concat", lambda: _weighted(ad.concat([u, v]), 20), {"u": u, "v": v}),
-        ("gru_scan", lambda: _weighted(ad.gru_scan(seq, *gru.values()), 23), {"seq": seq, **gru}),
-        ("conv_max_pool", lambda: _weighted(ad.conv_max_pool(seq, filt2, fbias, 2), 24),
+        ("concat_rows", lambda: _weighted(ad.concat([a, m2]), 26), {"a": a, "m2": m2}),
+        ("gru_scan", lambda: _weighted(ad.gru_scan([seq], *gru.values()), 23),
+         {"seq": seq, **gru}),
+        ("gru_scan_document", lambda: _weighted(ad.gru_scan(doc, *gru.values()), 27),
+         {**doc_params, **gru}),
+        ("conv_max_pool", lambda: _weighted(ad.conv_max_pool([seq], filt2, fbias, 2), 24),
          {"seq": seq, "filt2": filt2, "fbias": fbias}),
         # a sentence shorter than the width: one zero-padded window
-        ("conv_max_pool_short", lambda: _weighted(ad.conv_max_pool(seq, filt4, fbias, 4), 25),
+        ("conv_max_pool_short", lambda: _weighted(ad.conv_max_pool([seq], filt4, fbias, 4), 25),
          {"seq": seq, "filt4": filt4, "fbias": fbias}),
+        ("conv_max_pool_document",
+         lambda: _weighted(ad.conv_max_pool(doc, filt2, fbias, 2), 28),
+         {**doc_params, "filt2": filt2, "fbias": fbias}),
     ]
 
 
@@ -148,46 +163,211 @@ def head_oracle_check(variant: str, rng: np.random.Generator, instances: int = 2
     return bool(worst <= 1e-12), f"max abs diff {worst:.2e}"
 
 
-def _encode_with_grads(encode, sentences, weights, config: EncoderConfig) -> dict:
-    """Output and gradients of a weighted sum of ``encode`` over ``sentences``,
-    all recorded on one Graph, from fixed random parameters."""
+def _random_params(config: EncoderConfig, head_config=None) -> dict:
+    """Encoder (and head) parameters drawn from fixed seeds; every bias is
+    non-zero."""
     params = init_encoder_params(config, np.random.default_rng(0))
+    if head_config is not None:
+        params.update(heads.init_head_params(head_config, np.random.default_rng(0)))
     rng = np.random.default_rng(1)
     for p in params.values():
-        p.data[...] = rng.normal(scale=0.5, size=p.shape)  # non-zero biases too
-    with ad.Graph():
-        out = ad.concat([encode(s, params, config) for s in sentences])
-        ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(weights))))
-    return {"output": out.data, **{name: p.grad for name, p in params.items()}}
+        p.data[...] = rng.normal(scale=0.5, size=p.shape)
+    return params
+
+
+def _differs(got: dict, want: dict):
+    """Name of the first entry of ``want`` that ``got`` does not match bit
+    for bit (a missing gradient counts), or None."""
+    for name, expected in want.items():
+        actual = got[name]
+        if (actual is None) != (expected is None) or (
+                expected is not None and not np.array_equal(actual, expected)):
+            return name
+    return None
+
+
+def _ragged_documents(rng, vocab_size: int, t_max: int, s_max: int) -> list:
+    """Documents of 1 to s_max + 1 sentences of 0 to t_max + 2 tokens (pad
+    id 0 included, so some sentences are all pad), from few ids so ids
+    repeat; the first t_max + 2 are one-sentence documents of each length,
+    and the last has no real token at all."""
+    ids = range(2, min(vocab_size, 8))
+    docs = [[rng.choice(ids, size=n).tolist()] for n in range(1, t_max + 3)]
+    for _ in range(6):
+        docs.append([rng.choice([0, *ids], size=int(rng.integers(0, t_max + 3))).tolist()
+                     for _ in range(int(rng.integers(1, s_max + 2)))])
+    docs.append([[0, 0, 0], [], rng.choice(ids, size=2).tolist()])
+    docs.append([[0, 0], []])
+    return docs
 
 
 def fused_encoder_check(kind: str):
-    """Compare the fused ``cnn`` or ``gru`` encoder with its op-chain
-    reference (``saam.oracles.ENCODER_REFERENCES``); returns (passed, detail).
+    """Compare the fused ``cnn`` or ``gru`` encoder (``encode_document``)
+    with its op-chain reference (``saam.oracles.ENCODER_REFERENCES``, one
+    chain per window or token, stacked by ``encode_document_by_sentence``);
+    returns (passed, detail).
 
-    The output and every parameter and embedding-table gradient must be
-    equal bit for bit, on sentences of 1-10 tokens from six ids (so ids
-    repeat), CNN widths below, equal to and above the sentence length, and
-    two sentences sharing one Graph.
+    A weighted sum of every document's output is differentiated on one
+    Graph, so gradients accumulate across documents. The outputs and every
+    parameter and embedding-table gradient must be equal bit for bit, on
+    ragged documents (see ``_ragged_documents``), truncated at t_max, with
+    CNN widths below, equal to and above the sentence lengths and three
+    filters per width.
     """
     if kind == "cnn":
         config = EncoderConfig("cnn", vocab_size=8, embedding_dim=3,
-                               cnn_filter_widths=(1, 4, 11), cnn_filters_per_width=4)
+                               cnn_filter_widths=(1, 4, 11), cnn_filters_per_width=3)
     else:
         config = EncoderConfig("gru", vocab_size=8, embedding_dim=3, gru_hidden=5)
+    s_max, t_max = 4, 9
     rng = np.random.default_rng(2)
-    cases = [[rng.integers(2, 8, size=n).tolist()] for n in range(1, 11)]
-    cases.append([rng.integers(2, 8, size=n).tolist() for n in (3, 7)])
-    for sentences in cases:
-        weights = rng.normal(size=len(sentences) * config.feature_dim)
-        got = _encode_with_grads(encode_sentence, sentences, weights, config)
-        want = _encode_with_grads(ENCODER_REFERENCES[kind], sentences, weights, config)
-        for name, expected in want.items():
-            actual = got[name]
-            if (actual is None) != (expected is None) or (
-                    expected is not None and not np.array_equal(actual, expected)):
-                return False, f"{name} differs on sentences {sentences}"
-    return True, f"{len(cases)} cases bit-identical"
+    docs = _ragged_documents(rng, config.vocab_size, t_max, s_max)
+    weights = rng.normal(size=(len(docs), s_max, config.feature_dim))
+
+    def run(encode):
+        params = _random_params(config)
+        with ad.Graph():
+            outs = [encode(doc, s_max, params, config, t_max).values for doc in docs]
+            loss = ad.reduce_sum(ad.mul(ad.concat(outs),
+                                        ad.constant(np.concatenate(weights, axis=-1))))
+            ad.backward(loss)
+        return {"output": np.stack([out.data for out in outs]),
+                **{name: p.grad for name, p in params.items()}}
+
+    def reference(doc, s_max, params, config, t_max):
+        return encode_document_by_sentence(ENCODER_REFERENCES[kind], doc, s_max, params,
+                                           config, t_max)
+
+    name = _differs(run(encode_document), run(reference))
+    if name is not None:
+        return False, f"{name} differs on documents {docs}"
+    return True, f"{len(docs)} documents bit-identical"
+
+
+def _one_sentence_call(tokens, params, config: EncoderConfig):
+    """One sentence through the fused op as an N=1 document: a ``[d]`` row."""
+    if not tokens:
+        return ad.constant(np.zeros(config.feature_dim))
+    emb = [ad.embedding_lookup(params["encoder.embedding"], tokens)]
+    if config.kind == "cnn":
+        row = ad.concat([ad.conv_max_pool(emb, params[f"encoder.cnn.w{w}"],
+                                          params[f"encoder.cnn.b{w}"], w)
+                         for w in config.cnn_filter_widths])
+    else:
+        row = ad.gru_scan(emb, *(params[f"encoder.gru.{kind}{gate}"]
+                                 for gate in "zrh" for kind in "wub"))
+    return ad.reshape(row, (config.feature_dim,))
+
+
+BATCH_ENCODERS = {
+    "cnn": (EncoderConfig("cnn", vocab_size=8, embedding_dim=3, cnn_filter_widths=(1, 3, 5),
+                          cnn_filters_per_width=3),
+            EncoderConfig("cnn", vocab_size=8, embedding_dim=32, cnn_filters_per_width=100)),
+    # hidden size 1: one-element parameters, whose folds numpy would sum pairwise
+    "gru": (EncoderConfig("gru", vocab_size=8, embedding_dim=3, gru_hidden=1),
+            EncoderConfig("gru", vocab_size=8, embedding_dim=32, gru_hidden=32)),
+}
+
+
+def batch_check(kind: str):
+    """Compare one document-wide ``conv_max_pool``/``gru_scan`` call (as
+    ``encode_document`` makes it) with N one-sentence calls of the same op
+    on one Graph; returns (passed, detail).
+
+    Ragged documents (see ``_ragged_documents``) go through the R head and
+    its loss under hard and soft attribution masks, at toy sizes (three
+    filters per width, GRU hidden 1) and at the library's (e=32; 100
+    filters per width, or GRU hidden 32). The encoder
+    output, every parameter gradient and the embedding-table gradient must
+    be equal bit for bit.
+    """
+    checked = 0
+    for encoder in BATCH_ENCODERS[kind]:
+        for mask in ("hard", "soft"):
+            config = TrainConfig(variant="R", encoder=encoder, n_aspects=2, s_max=4, t_max=9,
+                                 attribution_mask_mode=mask)
+            head_config = config.head_config()
+            model = SaamModel(encoder, head_config, seed=0, t_max=config.t_max)
+            docs = [ReviewDocument(f"d{i}", sentences, [], 2.5, [1.5, 3.5]) for i, sentences
+                    in enumerate(_ragged_documents(np.random.default_rng(3), encoder.vocab_size,
+                                                   config.t_max, config.s_max))]
+
+            def run(encode):
+                model.params = _random_params(encoder, head_config)
+                with ad.Graph():
+                    outs, losses = [], []
+                    for doc in docs:
+                        u = encode(doc.sentences, config.s_max, model.params, encoder,
+                                   config.t_max)
+                        preds, _ = heads.head_forward(u, model.params, head_config)
+                        outs.append(u.values.data)
+                        losses.append(document_loss(model, preds, doc, config))
+                    total = losses[0]
+                    for loss in losses[1:]:
+                        total = ad.add(total, loss)
+                    ad.backward(total)
+                return {"output": np.stack(outs),
+                        **{name: p.grad for name, p in model.params.items()}}
+
+            def one_call_per_sentence(sentences, s_max, params, config, t_max):
+                return encode_document_by_sentence(_one_sentence_call, sentences, s_max,
+                                                   params, config, t_max)
+
+            name = _differs(run(encode_document), run(one_call_per_sentence))
+            if name is not None:
+                return False, (f"{name} differs (e={encoder.embedding_dim}, {mask} mask) "
+                               f"on documents {[doc.sentences for doc in docs]}")
+            checked += len(docs)
+    return True, f"{checked} documents bit-identical"
+
+
+def blas_stacked_rows_check():
+    """Check, at the fused ops' toy and library sizes, the BLAS properties
+    their bit identity rests on; returns (passed, detail).
+
+    1. Each item of a stacked ``(n, 1, k) @ (k, m)`` or
+       ``(s, n, 1, k) @ (k, m)`` product, its items slices of a larger
+       buffer, equals a separate ``(1, k) @ (k, m)`` product, also against
+       a transposed ``(m, k).T``.
+    2. Each item of a stacked ``(n, P, k) @ (k, m)`` product equals a
+       separate ``(P, k) @ (k, m)`` product.
+    3. A product in which every entry has one nonzero term, such as
+       ``x.T @ g`` or a window matrix against a one-hot-per-column
+       gradient, equals that term, elementwise.
+    Bit identity is claimed for the host where this passes, not across
+    BLAS builds.
+    """
+    rng = np.random.default_rng(4)
+    sizes = ((3, 5), (5, 5), (3, 3), (12, 3), (32, 32), (160, 100), (100, 160), (96, 100))
+    for k, m in sizes:
+        w = rng.normal(size=(k, m))
+        w_t = rng.normal(size=(m, k)).T
+        buffer = rng.normal(size=(3, 6, 1, k))
+        for b in (w, w_t):
+            stacked = buffer @ b
+            if not all(np.array_equal(stacked[s, i], buffer[s, i].copy() @ b)
+                       for s in range(3) for i in range(6)):
+                return False, f"stacked rows differ from one-row products at k={k}, m={m}"
+        for n in (1, 2, 5):
+            for b in (w, w_t):
+                stacked = buffer[1, :n] @ b
+                if not all(np.array_equal(stacked[i], buffer[1, i].copy() @ b) for i in range(n)):
+                    return False, f"stacked rows differ from one-row products at k={k}, m={m}"
+            for p in (1, 2, 3, 7):
+                a = rng.normal(size=(n, p, k))
+                stacked = a @ w
+                if not all(np.array_equal(stacked[i], a[i].copy() @ w) for i in range(n)):
+                    return False, f"stacked {p}-row products differ at k={k}, m={m}"
+        x, g = rng.normal(size=(1, k)), rng.normal(size=(1, m))
+        if not np.array_equal(x.T @ g, x.T * g):
+            return False, f"outer product x.T @ g differs from x.T * g at k={k}, m={m}"
+        windows = rng.normal(size=(7, k))
+        pick = rng.integers(0, 7, size=m)
+        one_hot = np.zeros((7, m))
+        one_hot[pick, np.arange(m)] = rng.normal(size=m)
+        if not np.array_equal(windows.T @ one_hot, windows[pick].T * one_hot[pick, np.arange(m)]):
+            return False, f"one-term product differs from its term at k={k}, m={m}"
+    return True, f"{len(sizes)} shapes"
 
 
 def run_selftest(corrupt_op: str | None = None):
@@ -221,6 +401,9 @@ def run_selftest(corrupt_op: str | None = None):
                             *head_oracle_check(variant, np.random.default_rng(0))))
         for kind in ENCODER_REFERENCES:
             results.append((f"fused:{kind}", *fused_encoder_check(kind)))
+        for kind in BATCH_ENCODERS:
+            results.append((f"batch:{kind}", *batch_check(kind)))
+        results.append(("blas:stacked-rows", *blas_stacked_rows_check()))
     finally:
         if corrupt_op is not None:
             setattr(ad, corrupt_op, original)

@@ -7,12 +7,15 @@ Ranking by raw score and filtering by weight keeps a near-zero-weight
 sentence with a huge score from winning on the product alone.
 
 For classification models the scalar sentence score is the expected
-rating value under softmax of the class scores.
+rating value under softmax of the class scores, and ``explain_discrepancy``
+compares the expected rating values of the document-level distributions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .heads import AttributionResult, sentence_scalar_scores
 
@@ -62,18 +65,28 @@ def extract_snippets(doc, attribution: AttributionResult, aspect_names, aspect: 
     return candidates if top_k is None else candidates[:top_k]
 
 
+def _rating_value(kind: str, output) -> float:
+    """A prediction as a rating: the score itself (regression) or the
+    expected rating under the class distribution (classification), with
+    class c standing for rating c + 1 as in ``sentence_scalar_scores``."""
+    if kind == "classification":
+        return float(output.data @ np.arange(1, output.data.size + 1, dtype=np.float64))
+    return float(output.data)
+
+
 def explain_discrepancy(doc, predictions, attribution: AttributionResult, aspect_names,
                         margin: float = DEFAULT_MARGIN, tau: float = DEFAULT_TAU) -> list:
     """One extreme snippet per aspect whose prediction deviates from overall.
 
     An aspect predicted more than ``margin`` below the overall score gets
-    its lowest-score snippet; one above gets the highest. Results follow
-    aspect order; aspects without a qualifying sentence are skipped.
+    its lowest-score snippet; one above gets the highest. Classification
+    models compare expected rating values. Results follow aspect order;
+    aspects without a qualifying sentence are skipped.
     """
-    overall = float(predictions.overall.data)
+    overall = _rating_value(predictions.kind, predictions.overall)
     out = []
     for j, name in enumerate(aspect_names):
-        aspect_score = float(predictions.per_aspect[j].data)
+        aspect_score = _rating_value(predictions.kind, predictions.per_aspect[j])
         if aspect_score < overall - margin:
             polarity = "lowest"
         elif aspect_score > overall + margin:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -306,8 +307,28 @@ def read_corpus(path) -> list:
                 raise CorpusError(f"{path}: line {lineno}: record needs text or sentences")
             if "overall" not in rec or "aspects" not in rec:
                 raise CorpusError(f"{path}: line {lineno}: record needs overall and aspects")
+            _check_ratings(rec, f"{path}: line {lineno}")
             records.append(rec)
     return records
+
+
+def _is_rating(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except (TypeError, ValueError):
+        return False
+
+
+def _check_ratings(rec, where: str) -> None:
+    """CorpusError unless ``overall`` is a finite number and ``aspects`` an
+    object whose ratings are finite numbers or null (unrated)."""
+    if not _is_rating(rec["overall"]):
+        raise CorpusError(f"{where}: overall rating {rec['overall']!r} is not a number")
+    if not isinstance(rec["aspects"], dict):
+        raise CorpusError(f"{where}: aspects must be an object of ratings")
+    for name, value in rec["aspects"].items():
+        if value is not None and not _is_rating(value):
+            raise CorpusError(f"{where}: aspect {name!r} rating {value!r} is not a number")
 
 
 def record_sentences(rec) -> list:

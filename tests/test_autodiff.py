@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -377,6 +378,20 @@ class TestStructuralOps:
         assert_allclose(r0.grad, [1.0, 10.0])
         assert_allclose(r1.grad, [100.0, 1000.0])
 
+    def test_concat_rows_side_by_side(self):
+        a = parameter([[1.0, 2.0], [3.0, 4.0]])
+        b = parameter([[5.0], [6.0]])
+        with Graph():
+            out = concat([a, b])
+            backward(reduce_sum(mul_by(out, np.arange(6.0).reshape(2, 3))))
+        assert_allclose(out.data, [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]])
+        assert_allclose(a.grad, [[0.0, 1.0], [3.0, 4.0]])
+        assert_allclose(b.grad, [[2.0], [5.0]])
+        with pytest.raises(DimensionError):
+            concat([a, parameter([[1.0]])])  # leading axes differ
+        with pytest.raises(DimensionError):
+            concat([a, parameter([1.0, 2.0])])
+
     def test_concat_backward_splits(self):
         a = parameter([1.0, 2.0])
         b = parameter([3.0])
@@ -418,6 +433,15 @@ class TestFiniteScan:
         with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="scale"):
             ad.scale(constant([np.inf, 1.0, -np.inf]), 1.0)
 
+    def test_scan_prints_no_warning(self):
+        # numpy's default error state warns; any warning here is an error
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            assert ad.scale(constant([1e308, 1e308, -1.0]), 1.0).data[0] == 1e308
+            for infinities in ([np.inf, 1.0, -np.inf], [np.inf, np.inf], [-np.inf]):
+                with pytest.raises(NumericError, match="scale"):
+                    ad.scale(constant(infinities), 1.0)
+
 
 class TestFusedEncoderOps:
     @staticmethod
@@ -433,11 +457,11 @@ class TestFusedEncoderOps:
         with np.errstate(over="ignore"):
             ad.set_debug_checks(False)
             try:
-                assert np.all(np.isfinite(ad.gru_scan(emb, *params).data))
+                assert np.all(np.isfinite(ad.gru_scan([emb], *params).data))
             finally:
                 ad.set_debug_checks(True)
             with pytest.raises(NumericError, match="gru_scan"):
-                ad.gru_scan(emb, *params)
+                ad.gru_scan([emb], *params)
 
     @pytest.mark.parametrize("inf", [np.inf, -np.inf])  # relu hides -inf from the output
     def test_conv_infinite_bias_raises(self, inf):
@@ -446,27 +470,65 @@ class TestFusedEncoderOps:
         w = parameter(rng.normal(size=(6, 2)))
         b = parameter(np.array([0.0, inf]))
         with pytest.raises(NumericError, match="conv_max_pool"):
-            ad.conv_max_pool(emb, w, b, 2)
+            ad.conv_max_pool([emb], w, b, 2)
 
     def test_shape_contracts(self):
         rng = np.random.default_rng(2)
         emb = constant(rng.normal(size=(3, 2)))
         with pytest.raises(DimensionError):
-            ad.conv_max_pool(emb, parameter(np.zeros((0, 2))), parameter(np.zeros(2)), 0)
+            ad.conv_max_pool([emb], parameter(np.zeros((0, 2))), parameter(np.zeros(2)), 0)
         with pytest.raises(DimensionError):
-            ad.conv_max_pool(emb, parameter(np.zeros((5, 2))), parameter(np.zeros(2)), 2)
+            ad.conv_max_pool([emb], parameter(np.zeros((5, 2))), parameter(np.zeros(2)), 2)
         with pytest.raises(DimensionError):
-            ad.gru_scan(constant(np.zeros((0, 2))), *self.gru_params(rng, e=2))
+            ad.conv_max_pool([], parameter(np.zeros((4, 2))), parameter(np.zeros(2)), 2)
         with pytest.raises(DimensionError):
-            ad.gru_scan(emb, *self.gru_params(rng, e=3))
+            ad.gru_scan([], *self.gru_params(rng, e=2))
+        with pytest.raises(DimensionError):
+            ad.gru_scan([emb], *self.gru_params(rng, e=3))
+        with pytest.raises(DimensionError):  # sentences of different widths
+            ad.gru_scan([emb, constant(np.zeros((2, 3)))], *self.gru_params(rng, e=2))
 
     def test_one_tape_entry_each(self):
         rng = np.random.default_rng(3)
-        emb = parameter(rng.normal(size=(5, 3)))
+        doc = [parameter(rng.normal(size=(n, 3))) for n in (5, 2)]
         with Graph() as graph:
-            ad.gru_scan(emb, *self.gru_params(rng))
-            ad.conv_max_pool(emb, parameter(rng.normal(size=(9, 2))), parameter(np.zeros(2)), 3)
+            ad.gru_scan(doc, *self.gru_params(rng))
+            ad.conv_max_pool(doc, parameter(rng.normal(size=(9, 2))), parameter(np.zeros(2)), 3)
         assert len(graph.ops) == 2
+
+    def test_document_rows_match_one_sentence_calls(self):
+        # forward only; the gradients are compared in saam.selftest.batch_check
+        rng = np.random.default_rng(4)
+        doc = [constant(rng.normal(size=(n, 3))) for n in (4, 1, 6, 2)]
+        gru = self.gru_params(rng)
+        w, b = parameter(rng.normal(size=(9, 2))), parameter(rng.normal(size=2))
+        assert np.array_equal(ad.gru_scan(doc, *gru).data,
+                              np.concatenate([ad.gru_scan([s], *gru).data for s in doc]))
+        assert np.array_equal(ad.conv_max_pool(doc, w, b, 3).data,
+                              np.concatenate([ad.conv_max_pool([s], w, b, 3).data for s in doc]))
+
+    @pytest.mark.parametrize("op", ["gru", "cnn"])
+    def test_sentence_without_tokens_is_a_zero_row_and_gets_no_gradient(self, op):
+        rng = np.random.default_rng(5)
+        real = parameter(rng.normal(size=(3, 3)))
+        params = self.gru_params(rng) if op == "gru" else [parameter(rng.normal(size=(6, 2))),
+                                                            parameter(rng.normal(size=2))]
+
+        def run(doc):
+            zero_grads([real, *params])
+            with Graph():
+                out = (ad.gru_scan(doc, *params) if op == "gru"
+                       else ad.conv_max_pool(doc, *params, 2))
+                backward(reduce_sum(mul_by(out, np.ones(out.shape))))
+            return out.data, [p.grad for p in (real, *params)]
+
+        empty = constant(np.zeros((0, 3)))
+        out, grads = run([empty, real, empty])
+        alone_out, alone_grads = run([real])
+        assert np.array_equal(out[[0, 2]], np.zeros((2, out.shape[1])))
+        assert np.array_equal(out[1], alone_out[0])
+        assert all(np.array_equal(g, a) for g, a in zip(grads, alone_grads))
+        assert run([empty])[0].shape == (1, out.shape[1])
 
 
 class TestGradCheck:

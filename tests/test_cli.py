@@ -78,6 +78,23 @@ class TestPrepare:
         assert main(["prepare", str(corpus), "--out", str(tmp_path / "d")]) == EXIT_DATA
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,record", [
+        ("overall", {"overall": "x", "aspects": {"X": 3, "Y": 4}}),
+        ("overall", {"overall": None, "aspects": {"X": 3, "Y": 4}}),
+        ("aspect 'Y'", {"overall": 3, "aspects": {"X": 3, "Y": "four"}}),
+        ("aspects", {"overall": 3, "aspects": [3, 4]}),
+    ])
+    def test_non_numeric_rating_is_data_error(self, tmp_path, capsys, field, record):
+        corpus = tmp_path / "c.jsonl"
+        rows = [{"doc_id": f"d{i}", "sentences": ["a b"] * 4, "overall": 3,
+                 "aspects": {"X": 3, "Y": 4}} for i in range(3)]
+        rows.append({"doc_id": "bad", "sentences": ["a b"] * 4, **record})
+        corpus.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        assert main(["prepare", str(corpus), "--out", str(tmp_path / "d")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "line 4" in err and field in err
+
     def test_fixed_seed_identical_bytes(self, tmp_path):
         corpus = tmp_path / "c.jsonl"
         main(["generate", "--out", str(corpus), "--docs", "40", "--seed", "2"])
@@ -302,6 +319,22 @@ class TestAttribute:
                   "--out", str(out)])
             outs.append(out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+    @pytest.mark.parametrize("content", [
+        '{"aspect1": 0, "aspect2": 1}', '["aspect1", 2]', '["aspect1", "aspect1"]', "[]",
+        "not json", '["aspect1", "aspect2", "aspect3"]',
+    ])
+    def test_bad_aspects_file_is_data_error(self, workspace, tmp_path, capsys, content):
+        aspects = tmp_path / "aspects.json"
+        aspects.write_text(content)
+        assert main(["attribute", "--checkpoint", str(workspace["ckpt"]),
+                     "--corpus", str(workspace["data"] / "dev.jsonl"),
+                     "--vocab", str(workspace["data"] / "vocab.tsv"),
+                     "--aspects", str(aspects), "--out", str(tmp_path / "a.jsonl")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert str(aspects) in err
 
 
 class TestSnippets:

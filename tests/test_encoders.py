@@ -6,14 +6,12 @@ from saam import autodiff as ad
 from saam import encoders
 from saam.encoders import (
     EncoderConfig,
-    encode_cnn,
     encode_document,
-    encode_gru,
     encode_mean,
-    encode_sentence,
     init_encoder_params,
 )
-from saam.selftest import fused_encoder_check
+from saam.oracles import ENCODER_REFERENCES, encode_document_by_sentence
+from saam.selftest import batch_check, fused_encoder_check
 
 
 def config_for(kind):
@@ -29,6 +27,17 @@ def config_for(kind):
 def fresh(kind, seed=0):
     cfg = config_for(kind)
     return cfg, init_encoder_params(cfg, np.random.default_rng(seed))
+
+
+def encode_one(tokens, params, cfg):
+    """One sentence through encode_document: its ``[d]`` row."""
+    return ad.reshape(encode_document([tokens], 1, params, cfg).values, (cfg.feature_dim,))
+
+
+def reference_row(tokens, params, cfg):
+    """The op-chain reference encoding of one sentence."""
+    doc = encode_document_by_sentence(ENCODER_REFERENCES[cfg.kind], [tokens], 1, params, cfg)
+    return doc.values.data[0]
 
 
 class TestConfig:
@@ -91,7 +100,7 @@ class TestMeanEncoder:
 class TestCnnEncoder:
     def test_short_sentence_zero_padded_to_width(self):
         cfg, params = fresh("cnn")
-        out = encode_cnn([2], params, cfg)  # shorter than both widths
+        out = encode_one([2], params, cfg)  # shorter than both widths
         assert out.shape == (6,)
         assert np.all(np.isfinite(out.data))
 
@@ -99,23 +108,22 @@ class TestCnnEncoder:
         cfg, params = fresh("cnn")
         for name, p in params.items():
             p.data[:] = 0.0
-        assert_allclose(encode_cnn([2, 3, 4, 5], params, cfg).data, np.zeros(6))
+        assert_allclose(encode_one([2, 3, 4, 5], params, cfg).data, np.zeros(6))
 
     def test_trailing_pads_do_not_change_output(self):
-        # masking oracle: recompute without the pads
+        # masking oracle: the op-chain reference on the tokens without the pads
         cfg, params = fresh("cnn", seed=3)
         with_pads = [2, 3, 4, 0, 0]
         real = [t for t in with_pads if t != 0]
-        a = encode_sentence(real, params, cfg).data
         doc = encode_document([with_pads], s_max=1, params=params, config=cfg)
-        assert_allclose(doc.values.data[0], a, atol=0)
+        assert_allclose(doc.values.data[0], reference_row(real, params, cfg), atol=0)
 
     def test_gradcheck(self):
         cfg, params = fresh("cnn", seed=5)
         target = np.random.default_rng(0).normal(size=6)
 
         def build():
-            out = encode_cnn([2, 3, 4, 5, 6], params, cfg)
+            out = encode_one([2, 3, 4, 5, 6], params, cfg)
             return ad.reduce_sum(ad.mul(out, ad.constant(target)))
 
         report = ad.grad_check(build, params, h=1e-5, tol=1e-4)
@@ -125,28 +133,27 @@ class TestCnnEncoder:
 class TestGruEncoder:
     def test_empty_is_zero(self):
         cfg, params = fresh("gru")
-        assert_allclose(encode_gru([], params, cfg).data, np.zeros(6))
+        assert_allclose(encode_one([], params, cfg).data, np.zeros(6))
 
     def test_zero_weights_single_token(self):
         cfg, params = fresh("gru")
         for p in params.values():
             p.data[:] = 0.0
         # z = sigmoid(0) = 0.5, cand = tanh(0) = 0, h = 0.5*0 + 0.5*0 = 0
-        assert_allclose(encode_gru([2], params, cfg).data, np.zeros(6))
+        assert_allclose(encode_one([2], params, cfg).data, np.zeros(6))
 
     def test_appending_pads_does_not_change_output(self):
         cfg, params = fresh("gru", seed=2)
         real = [4, 5, 6]
-        a = encode_sentence(real, params, cfg).data
         doc = encode_document([real + [0, 0, 0]], s_max=1, params=params, config=cfg)
-        assert_allclose(doc.values.data[0], a, atol=0)
+        assert_allclose(doc.values.data[0], reference_row(real, params, cfg), atol=0)
 
     def test_gradcheck(self):
         cfg, params = fresh("gru", seed=7)
         target = np.random.default_rng(1).normal(size=6)
 
         def build():
-            out = encode_gru([2, 3, 4], params, cfg)
+            out = encode_one([2, 3, 4], params, cfg)
             return ad.reduce_sum(ad.mul(out, ad.constant(target)))
 
         report = ad.grad_check(build, params, h=1e-5, tol=1e-4)
@@ -167,6 +174,28 @@ def test_fused_check_sees_a_last_bit_change(kind, monkeypatch):
                         lambda t, start, rows: add_rows(t, start, rows * (1.0 + 2.0 ** -52)))
     passed, detail = fused_encoder_check(kind)
     assert not passed and detail.startswith("encoder.embedding differs"), detail
+
+
+@pytest.mark.parametrize("kind", ["cnn", "gru"])
+def test_document_call_matches_one_call_per_sentence(kind):
+    passed, detail = batch_check(kind)
+    assert passed, detail
+
+
+@pytest.mark.parametrize("kind", ["cnn", "gru"])
+def test_batch_check_sees_a_reordered_parameter_fold(kind, monkeypatch):
+    # the document's parameter terms folded first sentence first
+    fold = ad._fold
+
+    def reordered(t, right, left=None):
+        if len(right) > 1 and t.data.ndim == 2 and t.shape[0] > 1:
+            right = right[::-1]
+            left = None if left is None else left[::-1]
+        fold(t, right, left)
+
+    monkeypatch.setattr(ad, "_fold", reordered)
+    passed, detail = batch_check(kind)
+    assert not passed and detail.startswith("encoder."), detail
 
 
 class TestEncodeDocument:
@@ -196,6 +225,16 @@ class TestEncodeDocument:
         expected = np.zeros_like(emb.data)
         expected[2] = 2.0
         assert_allclose(emb.grad, expected)
+
+    @pytest.mark.parametrize("kind", ["cnn", "gru"])
+    def test_one_op_call_per_document(self, kind):
+        cfg, params = fresh(kind)
+        with ad.Graph() as graph:
+            encode_document([[2, 3], [4], [0, 0], [5, 6, 7]], s_max=5, params=params, config=cfg)
+        # a lookup per sentence with tokens, the fused op (once per width and a
+        # concat for the cnn), and the padding to s_max
+        fused = len(cfg.cnn_filter_widths) + 1 if kind == "cnn" else 1
+        assert len(graph.ops) == 3 + fused + 1
 
     def test_truncation_beyond_s_max(self):
         cfg, params = fresh("mean")

@@ -111,3 +111,36 @@ class TestExplainDiscrepancy:
         got = explain_discrepancy(make_doc(2), preds, att, ASPECTS, margin=1.0)
         assert [s.aspect for s in got] == ["Value", "Location"]
         assert [s.polarity for s in got] == ["lowest", "highest"]
+
+    @pytest.mark.parametrize("variant", ["C1", "C2"])
+    def test_classification_compares_expected_ratings(self, variant):
+        # overall expects rating 3.5; Value 1.5 (low), Room 4.0 (within 1), Location 5.0 (high)
+        def dist(*probs):
+            return ad.constant(np.array(probs, dtype=np.float64))
+
+        preds = PredictionSet("classification", dist(0, 0, 0.5, 0.5, 0),
+                              [dist(0.5, 0.5, 0, 0, 0), dist(0, 0, 0, 1, 0),
+                               dist(0, 0, 0, 0, 1)])
+        weights = np.array([[0.9, 0.02, 0.02, 0.06], [0.02, 0.02, 0.9, 0.06]])
+        scores = np.array([[5.0, 0, 0, 0, 0], [0, 0, 0, 0, 5.0]])
+        att = AttributionResult(weights, scores, weights[:, :, None] * scores[:, None, :],
+                                variant)
+        got = explain_discrepancy(make_doc(2), preds, att, ASPECTS, margin=1.0)
+        assert [(s.aspect, s.polarity, s.sentence_index) for s in got] == [
+            ("Value", "lowest", 0), ("Location", "highest", 1)]
+
+    @pytest.mark.parametrize("variant", ["C1", "C2", "R"])
+    def test_every_attribution_variant_on_model_outputs(self, variant):
+        from saam.model import SaamModel
+        from saam.selftest import toy_train_config
+        config = toy_train_config("mean", variant)
+        model = SaamModel(config.encoder, config.head_config(), seed=2, t_max=config.t_max)
+        doc = ReviewDocument("doc1", [[2, 3], [4, 5], [6]], ["s0", "s1", "s2"], 3.0, [3.0, 3.0])
+        preds, att = model.predict(doc.sentences)
+        got = explain_discrepancy(doc, preds, att, ["A", "B"], margin=0.0, tau=0.0)
+        values = [float(p.data) if preds.kind == "regression"
+                  else float(p.data @ np.arange(1.0, p.data.size + 1))
+                  for p in (preds.overall, *preds.per_aspect)]
+        want = [("lowest" if v < values[0] else "highest", name)
+                for name, v in zip(["A", "B"], values[1:]) if v != values[0]]
+        assert [(s.polarity, s.aspect) for s in got] == want

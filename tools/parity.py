@@ -7,9 +7,12 @@ like another git revision.
 directory (no checkout, no worktree). ``tools/parity_driver.py`` then runs
 once under each tree's ``src/`` in a subprocess, over a matrix of small
 trainings: mean, CNN (widths 2, 3, 5), CNN with one width wider than every
-sentence, and GRU encoders x C1/C2/R/flat-c/flat-r heads x hard/soft
-attribution masks x ``t_max`` 7 and 4. For each configuration it compares
-SHA-256 digests of the checkpoint bytes, the training history and every
+sentence, and GRU encoders at e=6, plus CNN (100 filters per width) and
+GRU (hidden 32) encoders at the library's e=32, x C1/C2/R/flat-c/flat-r
+heads x hard/soft attribution masks x ``t_max`` 7 and 4, on two corpora:
+six-token sentences, and the same documents made ragged (see
+``parity_driver.ragged``). For each configuration it compares SHA-256
+digests of the checkpoint bytes, the training history and every
 ``predict`` output and attribution array. Exit status 0 when every digest
 matches; otherwise 1, naming the first configuration that differs.
 """
@@ -34,17 +37,21 @@ ENCODERS = {
     "cnn-wide": {"kind": "cnn", "embedding_dim": 6, "cnn_filter_widths": [8],
                  "cnn_filters_per_width": 3},
     "gru": {"kind": "gru", "embedding_dim": 6, "gru_hidden": 5},
+    # the library's sizes, where CNN products reach K = 5 * 32 = 160
+    "cnn-e32": {"kind": "cnn", "embedding_dim": 32, "cnn_filters_per_width": 100},
+    "gru-e32": {"kind": "gru", "embedding_dim": 32, "gru_hidden": 32},
 }
 VARIANTS = ("C1", "C2", "R", "flat-c", "flat-r")
+CORPORA = ("regular", "ragged")
 
 
 def matrix() -> list:
-    """[name, TrainConfig dict] pairs, in the order they are compared."""
-    return [[f"{enc}+{variant}/{mask}/t_max={t_max}",
+    """[name, corpus, TrainConfig dict] triples, in the order they are compared."""
+    return [[f"{corpus}/{enc}+{variant}/{mask}/t_max={t_max}", corpus,
              {"variant": variant, "encoder": encoder, "n_aspects": 2, "s_max": 4,
               "t_max": t_max, "lr": 0.05, "batch_size": 4, "max_epochs": 2, "patience": 2,
               "seed": 3, "attribution_mask_mode": mask}]
-            for enc, encoder in ENCODERS.items() for variant in VARIANTS
+            for corpus in CORPORA for enc, encoder in ENCODERS.items() for variant in VARIANTS
             for mask in ("hard", "soft") for t_max in (7, 4)]
 
 
@@ -77,7 +84,7 @@ def main(argv=None) -> int:
         base = run_driver(base_tree / "src", configs, tmp)
         head = run_driver(REPO / "src", configs, tmp)
     compared = 0
-    for name, _ in configs:
+    for name, _, _ in configs:
         differing = sorted(k for k in base[name].keys() | head[name].keys()
                            if base[name].get(k) != head[name].get(k))
         if differing:
