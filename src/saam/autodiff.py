@@ -568,10 +568,6 @@ def _add_rows_in_place(t: Tensor, start: int, rows: np.ndarray) -> None:
         t.grad[start:start + rows.shape[0]] += rows
 
 
-# bound on the product terms one ``_fold`` step forms at once
-_FOLD_CHUNK_BYTES = 1 << 20
-
-
 def _fold(t: Tensor, right: np.ndarray, left: np.ndarray | None = None) -> None:
     """Add the terms ``right[k]`` (or ``left[k] * right[k]``), k = 0, 1, ...,
     into ``t.grad`` one after another, as a chain of ``_accumulate`` calls
@@ -581,21 +577,16 @@ def _fold(t: Tensor, right: np.ndarray, left: np.ndarray | None = None) -> None:
     numpy reduces a C-contiguous stack along axis 0 row after row, adding
     whole terms elementwise; only a one-element term is summed pairwise, so
     that case takes ``np.add.accumulate``, which is sequential by definition.
-    Products are formed a chunk at a time to bound memory.
     """
     if not t.requires_grad or len(right) == 0:
         return
-    grad = np.zeros_like(t.data) if t.grad is None else t.grad
-    chunk = len(right) if left is None else max(1, _FOLD_CHUNK_BYTES // max(t.data.nbytes, 1))
-    for start in range(0, len(right), chunk):
-        stop = start + chunk
-        terms = right[start:stop] if left is None else left[start:stop] * right[start:stop]
-        terms[0] += grad
-        if grad.size > 1:
-            grad = np.add.reduce(terms, axis=0)
-        else:
-            grad = np.add.accumulate(terms, axis=0)[-1].copy()
-    t.grad = grad
+    terms = right if left is None else left * right
+    # from zeros, as ``_accumulate`` starts (so a -0.0 term lands as +0.0)
+    terms[0] += np.zeros_like(t.data) if t.grad is None else t.grad
+    if t.data.size > 1:
+        t.grad = np.add.reduce(terms, axis=0)
+    else:
+        t.grad = np.add.accumulate(terms, axis=0)[-1].copy()
 
 
 def _sentence_inputs(op_name: str, embs) -> tuple:
@@ -766,12 +757,9 @@ def conv_max_pool(embs, w: Tensor, b: Tensor, width: int) -> Tensor:
     for i, p in enumerate(positions):
         if p:
             groups.setdefault(p, []).append(i)
-    if len(groups) == 1 and len(groups.get(p_max, ())) == n:
-        pre = windows @ w.data + b.data
-    else:
-        pre = np.zeros((n, p_max, f))
-        for p, rows in groups.items():
-            pre[rows, :p] = windows[rows, :p] @ w.data + b.data
+    pre = np.zeros((n, p_max, f))
+    for p, rows in groups.items():
+        pre[rows, :p] = windows[rows, :p] @ w.data + b.data
     if _debug_checks and not _all_finite(pre):
         raise NumericError("conv_max_pool produced non-finite values")
     acts = np.maximum(pre, 0.0)

@@ -1,9 +1,9 @@
 """Built-in numerical self-test: gradient checks for every tensor op and
 for each encoder/head combination at toy sizes, comparisons of every head
 variant against its brute-force loop oracle (``saam.oracles``), bit-for-bit
-comparisons of the fused CNN and GRU encoders with their op-chain
-references and of one document-wide fused-op call with one call per
-sentence, and a check of the BLAS properties those comparisons rest on.
+comparisons of the fused CNN and GRU encoders (one op call per document)
+with their op-chain references, and a check of the BLAS properties those
+comparisons rest on.
 
 Each check is written only here: the command-line ``selftest``, the unit
 tests and the acceptance suite all run it from this module. Each check
@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from . import heads
 from .encoders import EncoderConfig, encode_document, init_encoder_params
 from .heads import HEADS, VARIANTS, head_forward
 from .model import SaamModel
@@ -163,12 +162,9 @@ def head_oracle_check(variant: str, rng: np.random.Generator, instances: int = 2
     return bool(worst <= 1e-12), f"max abs diff {worst:.2e}"
 
 
-def _random_params(config: EncoderConfig, head_config=None) -> dict:
-    """Encoder (and head) parameters drawn from fixed seeds; every bias is
-    non-zero."""
+def _random_params(config: EncoderConfig) -> dict:
+    """Encoder parameters drawn from fixed seeds; every bias is non-zero."""
     params = init_encoder_params(config, np.random.default_rng(0))
-    if head_config is not None:
-        params.update(heads.init_head_params(head_config, np.random.default_rng(0)))
     rng = np.random.default_rng(1)
     for p in params.values():
         p.data[...] = rng.normal(scale=0.5, size=p.shape)
@@ -201,123 +197,56 @@ def _ragged_documents(rng, vocab_size: int, t_max: int, s_max: int) -> list:
     return docs
 
 
-def fused_encoder_check(kind: str):
-    """Compare the fused ``cnn`` or ``gru`` encoder (``encode_document``)
-    with its op-chain reference (``saam.oracles.ENCODER_REFERENCES``, one
-    chain per window or token, stacked by ``encode_document_by_sentence``);
-    returns (passed, detail).
-
-    A weighted sum of every document's output is differentiated on one
-    Graph, so gradients accumulate across documents. The outputs and every
-    parameter and embedding-table gradient must be equal bit for bit, on
-    ragged documents (see ``_ragged_documents``), truncated at t_max, with
-    CNN widths below, equal to and above the sentence lengths and three
-    filters per width.
-    """
-    if kind == "cnn":
-        config = EncoderConfig("cnn", vocab_size=8, embedding_dim=3,
-                               cnn_filter_widths=(1, 4, 11), cnn_filters_per_width=3)
-    else:
-        config = EncoderConfig("gru", vocab_size=8, embedding_dim=3, gru_hidden=5)
-    s_max, t_max = 4, 9
-    rng = np.random.default_rng(2)
-    docs = _ragged_documents(rng, config.vocab_size, t_max, s_max)
-    weights = rng.normal(size=(len(docs), s_max, config.feature_dim))
-
-    def run(encode):
-        params = _random_params(config)
-        with ad.Graph():
-            outs = [encode(doc, s_max, params, config, t_max).values for doc in docs]
-            loss = ad.reduce_sum(ad.mul(ad.concat(outs),
-                                        ad.constant(np.concatenate(weights, axis=-1))))
-            ad.backward(loss)
-        return {"output": np.stack([out.data for out in outs]),
-                **{name: p.grad for name, p in params.items()}}
-
-    def reference(doc, s_max, params, config, t_max):
-        return encode_document_by_sentence(ENCODER_REFERENCES[kind], doc, s_max, params,
-                                           config, t_max)
-
-    name = _differs(run(encode_document), run(reference))
-    if name is not None:
-        return False, f"{name} differs on documents {docs}"
-    return True, f"{len(docs)} documents bit-identical"
-
-
-def _one_sentence_call(tokens, params, config: EncoderConfig):
-    """One sentence through the fused op as an N=1 document: a ``[d]`` row."""
-    if not tokens:
-        return ad.constant(np.zeros(config.feature_dim))
-    emb = [ad.embedding_lookup(params["encoder.embedding"], tokens)]
-    if config.kind == "cnn":
-        row = ad.concat([ad.conv_max_pool(emb, params[f"encoder.cnn.w{w}"],
-                                          params[f"encoder.cnn.b{w}"], w)
-                         for w in config.cnn_filter_widths])
-    else:
-        row = ad.gru_scan(emb, *(params[f"encoder.gru.{kind}{gate}"]
-                                 for gate in "zrh" for kind in "wub"))
-    return ad.reshape(row, (config.feature_dim,))
-
-
-BATCH_ENCODERS = {
-    "cnn": (EncoderConfig("cnn", vocab_size=8, embedding_dim=3, cnn_filter_widths=(1, 3, 5),
+FUSED_ENCODERS = {
+    # widths below, equal to and above the sentence lengths; then library sizes
+    "cnn": (EncoderConfig("cnn", vocab_size=8, embedding_dim=3, cnn_filter_widths=(1, 4, 11),
                           cnn_filters_per_width=3),
             EncoderConfig("cnn", vocab_size=8, embedding_dim=32, cnn_filters_per_width=100)),
     # hidden size 1: one-element parameters, whose folds numpy would sum pairwise
-    "gru": (EncoderConfig("gru", vocab_size=8, embedding_dim=3, gru_hidden=1),
+    "gru": (EncoderConfig("gru", vocab_size=8, embedding_dim=3, gru_hidden=5),
+            EncoderConfig("gru", vocab_size=8, embedding_dim=3, gru_hidden=1),
             EncoderConfig("gru", vocab_size=8, embedding_dim=32, gru_hidden=32)),
 }
 
 
-def batch_check(kind: str):
-    """Compare one document-wide ``conv_max_pool``/``gru_scan`` call (as
-    ``encode_document`` makes it) with N one-sentence calls of the same op
-    on one Graph; returns (passed, detail).
+def fused_encoder_check(kind: str):
+    """Compare the fused ``cnn`` or ``gru`` encoder (``encode_document``, one
+    op call per document) with its op-chain reference
+    (``saam.oracles.ENCODER_REFERENCES``, one chain per window or token,
+    stacked by ``encode_document_by_sentence``) for every configuration in
+    ``FUSED_ENCODERS[kind]``; returns (passed, detail).
 
-    Ragged documents (see ``_ragged_documents``) go through the R head and
-    its loss under hard and soft attribution masks, at toy sizes (three
-    filters per width, GRU hidden 1) and at the library's (e=32; 100
-    filters per width, or GRU hidden 32). The encoder
-    output, every parameter gradient and the embedding-table gradient must
-    be equal bit for bit.
+    A weighted sum of every document's output is differentiated on one
+    Graph, so gradients accumulate across documents. The outputs and every
+    parameter and embedding-table gradient must be equal bit for bit, on
+    ragged documents (see ``_ragged_documents``), truncated at t_max.
     """
+    s_max, t_max = 4, 9
     checked = 0
-    for encoder in BATCH_ENCODERS[kind]:
-        for mask in ("hard", "soft"):
-            config = TrainConfig(variant="R", encoder=encoder, n_aspects=2, s_max=4, t_max=9,
-                                 attribution_mask_mode=mask)
-            head_config = config.head_config()
-            model = SaamModel(encoder, head_config, seed=0, t_max=config.t_max)
-            docs = [ReviewDocument(f"d{i}", sentences, [], 2.5, [1.5, 3.5]) for i, sentences
-                    in enumerate(_ragged_documents(np.random.default_rng(3), encoder.vocab_size,
-                                                   config.t_max, config.s_max))]
+    for config in FUSED_ENCODERS[kind]:
+        rng = np.random.default_rng(2)
+        docs = _ragged_documents(rng, config.vocab_size, t_max, s_max)
+        weights = rng.normal(size=(len(docs), s_max, config.feature_dim))
 
-            def run(encode):
-                model.params = _random_params(encoder, head_config)
-                with ad.Graph():
-                    outs, losses = [], []
-                    for doc in docs:
-                        u = encode(doc.sentences, config.s_max, model.params, encoder,
-                                   config.t_max)
-                        preds, _ = heads.head_forward(u, model.params, head_config)
-                        outs.append(u.values.data)
-                        losses.append(document_loss(model, preds, doc, config))
-                    total = losses[0]
-                    for loss in losses[1:]:
-                        total = ad.add(total, loss)
-                    ad.backward(total)
-                return {"output": np.stack(outs),
-                        **{name: p.grad for name, p in model.params.items()}}
+        def run(encode):
+            params = _random_params(config)
+            with ad.Graph():
+                outs = [encode(doc, s_max, params, config, t_max).values for doc in docs]
+                loss = ad.reduce_sum(ad.mul(ad.concat(outs),
+                                            ad.constant(np.concatenate(weights, axis=-1))))
+                ad.backward(loss)
+            return {"output": np.stack([out.data for out in outs]),
+                    **{name: p.grad for name, p in params.items()}}
 
-            def one_call_per_sentence(sentences, s_max, params, config, t_max):
-                return encode_document_by_sentence(_one_sentence_call, sentences, s_max,
-                                                   params, config, t_max)
+        def reference(doc, s_max, params, config, t_max):
+            return encode_document_by_sentence(ENCODER_REFERENCES[kind], doc, s_max, params,
+                                               config, t_max)
 
-            name = _differs(run(encode_document), run(one_call_per_sentence))
-            if name is not None:
-                return False, (f"{name} differs (e={encoder.embedding_dim}, {mask} mask) "
-                               f"on documents {[doc.sentences for doc in docs]}")
-            checked += len(docs)
+        name = _differs(run(encode_document), run(reference))
+        if name is not None:
+            return False, (f"{name} differs (e={config.embedding_dim}, "
+                           f"d={config.feature_dim}) on documents {docs}")
+        checked += len(docs)
     return True, f"{checked} documents bit-identical"
 
 
@@ -401,8 +330,6 @@ def run_selftest(corrupt_op: str | None = None):
                             *head_oracle_check(variant, np.random.default_rng(0))))
         for kind in ENCODER_REFERENCES:
             results.append((f"fused:{kind}", *fused_encoder_check(kind)))
-        for kind in BATCH_ENCODERS:
-            results.append((f"batch:{kind}", *batch_check(kind)))
         results.append(("blas:stacked-rows", *blas_stacked_rows_check()))
     finally:
         if corrupt_op is not None:

@@ -313,9 +313,12 @@ def read_corpus(path) -> list:
 
 
 def _is_rating(value) -> bool:
+    """A JSON number that is finite as a float: not a string, a boolean or null."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
     try:
-        return math.isfinite(float(value))
-    except (TypeError, ValueError):
+        return math.isfinite(value)
+    except OverflowError:  # an integer past float range
         return False
 
 

@@ -497,7 +497,7 @@ class TestFusedEncoderOps:
         assert len(graph.ops) == 2
 
     def test_document_rows_match_one_sentence_calls(self):
-        # forward only; the gradients are compared in saam.selftest.batch_check
+        # forward only; saam.selftest.fused_encoder_check compares the gradients
         rng = np.random.default_rng(4)
         doc = [constant(rng.normal(size=(n, 3))) for n in (4, 1, 6, 2)]
         gru = self.gru_params(rng)

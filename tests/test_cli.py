@@ -81,6 +81,11 @@ class TestPrepare:
     @pytest.mark.parametrize("field,record", [
         ("overall", {"overall": "x", "aspects": {"X": 3, "Y": 4}}),
         ("overall", {"overall": None, "aspects": {"X": 3, "Y": 4}}),
+        ("overall", {"overall": True, "aspects": {"X": 3, "Y": 4}}),
+        ("overall", {"overall": "4", "aspects": {"X": 3, "Y": 4}}),
+        ("overall", {"overall": 10 ** 400, "aspects": {"X": 3, "Y": 4}}),
+        ("aspect 'X'", {"overall": 3, "aspects": {"X": False, "Y": 4}}),
+        ("aspect 'Y'", {"overall": 3, "aspects": {"X": 3, "Y": "4"}}),
         ("aspect 'Y'", {"overall": 3, "aspects": {"X": 3, "Y": "four"}}),
         ("aspects", {"overall": 3, "aspects": [3, 4]}),
     ])

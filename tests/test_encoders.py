@@ -11,7 +11,7 @@ from saam.encoders import (
     init_encoder_params,
 )
 from saam.oracles import ENCODER_REFERENCES, encode_document_by_sentence
-from saam.selftest import batch_check, fused_encoder_check
+from saam.selftest import fused_encoder_check
 
 
 def config_for(kind):
@@ -177,13 +177,7 @@ def test_fused_check_sees_a_last_bit_change(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["cnn", "gru"])
-def test_document_call_matches_one_call_per_sentence(kind):
-    passed, detail = batch_check(kind)
-    assert passed, detail
-
-
-@pytest.mark.parametrize("kind", ["cnn", "gru"])
-def test_batch_check_sees_a_reordered_parameter_fold(kind, monkeypatch):
+def test_fused_check_sees_a_reordered_parameter_fold(kind, monkeypatch):
     # the document's parameter terms folded first sentence first
     fold = ad._fold
 
@@ -194,7 +188,7 @@ def test_batch_check_sees_a_reordered_parameter_fold(kind, monkeypatch):
         fold(t, right, left)
 
     monkeypatch.setattr(ad, "_fold", reordered)
-    passed, detail = batch_check(kind)
+    passed, detail = fused_encoder_check(kind)
     assert not passed and detail.startswith("encoder."), detail
 
 
