@@ -16,6 +16,12 @@ gradient is one dense buffer per ``zero_grads`` round (a training batch),
 however many lookups feed it; and ``conv_max_pool`` adds each window's
 gradient into the rows of ``emb.grad`` that the window read.
 
+``embedding_lookup`` also records the rows it scatters into, next to the
+gradient; ``grad_rows`` returns them, and every other row of that gradient
+holds ``+0.0``. The record lasts until ``zero_grads``. Any other write into
+the gradient (``_accumulate``, or assigning ``grad``) makes it dense, and
+``grad_rows`` then returns ``None``: any row may be nonzero.
+
 ``gru_scan`` and ``conv_max_pool`` are fused encoder ops over all the
 sentences of a document: one call takes the N per-sentence embedding
 matrices, returns one row per sentence, and records one tape entry for
@@ -80,9 +86,11 @@ class Tensor:
     ``node_id`` is a process-wide identity; ``graph`` points at the Graph
     that recorded the producing op (``None`` for leaves and for results
     computed outside every Graph, which require no gradient).
+    ``row_record`` is ``(grad, rows)`` while ``grad`` is nonzero only in
+    the set ``rows``; read it through ``grad_rows``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "graph")
+    __slots__ = ("data", "requires_grad", "grad", "node_id", "graph", "row_record")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -91,6 +99,7 @@ class Tensor:
         self.grad = None
         self.node_id = next(_node_ids)
         self.graph = None
+        self.row_record = None
 
     @property
     def shape(self):
@@ -161,6 +170,22 @@ def zero_grads(params) -> None:
     tensors = params.values() if isinstance(params, dict) else params
     for p in tensors:
         p.grad = None
+        p.row_record = None
+
+
+def grad_rows(t: Tensor):
+    """Sorted indices of the rows of ``t.grad`` that may be nonzero, or
+    ``None`` when any row may be (a dense gradient, or none at all).
+
+    Only ``embedding_lookup``'s backward records rows; the record counts
+    while ``t.grad`` is still the array it was made for.
+    """
+    record = t.row_record
+    if record is None or record[0] is not t.grad:
+        return None
+    rows = np.fromiter(record[1], dtype=np.intp, count=len(record[1]))
+    rows.sort()
+    return rows
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -168,6 +193,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad += g
+        t.row_record = None
 
 
 def _make(data: np.ndarray, parents, backward_fn, op_name: str) -> Tensor:
@@ -450,6 +476,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     result is bit-identical to adding a full table-sized scatter per
     lookup: each row sums in the same order, and such a scatter only adds
     ``+0.0`` to the rows a lookup did not read.
+
+    The rows it adds into join ``table.row_record`` (see ``grad_rows``),
+    unless the gradient is already dense. Every other row of a gradient
+    that this op allocated holds ``+0.0``.
     """
     if table.data.ndim != 2:
         raise DimensionError(f"embedding table must be rank-2, got {table.shape}")
@@ -469,6 +499,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(block, inverse, out.grad)
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
+            table.row_record = (table.grad, set())
+        if table.row_record is not None and table.row_record[0] is table.grad:
+            table.row_record[1].update(block_row)
         table.grad[list(block_row)] += block
 
     return _make(out_data, (table,), backward_fn, "embedding_lookup")
@@ -566,6 +599,7 @@ def _add_rows_in_place(t: Tensor, start: int, rows: np.ndarray) -> None:
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad[start:start + rows.shape[0]] += rows
+        t.row_record = None
 
 
 def _fold(t: Tensor, right: np.ndarray, left: np.ndarray | None = None) -> None:

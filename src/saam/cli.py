@@ -29,7 +29,7 @@ from .evaluation import (
     report_to_dict,
 )
 from .heads import extract_attribution, sentence_scalar_scores
-from .selftest import run_selftest
+from .selftest import corruptible_ops, run_selftest
 from .snippets import extract_snippets, snippet_record
 from .text import (
     AspectSet,
@@ -405,6 +405,9 @@ def cmd_snippets(args) -> int:
 
 def cmd_selftest(args) -> int:
     started = time.monotonic()
+    known = corruptible_ops()
+    if args.corrupt is not None and args.corrupt not in known:
+        raise UsageError(f"--corrupt: unknown op {args.corrupt!r}; known: {', '.join(known)}")
     results = run_selftest(corrupt_op=args.corrupt)
     failures = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:

@@ -14,6 +14,7 @@ masking stays bit-exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,15 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-bound, bound, size=shape)
 
 
+def check_number(name: str, value, integer: bool = False) -> None:
+    """Raise ``TypeError`` naming the field ``name`` unless ``value`` is a
+    number (an integer when ``integer``); a ``bool`` is neither."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                        f"got {value!r}")
+
+
 @dataclass
 class EncoderConfig:
     kind: str
@@ -41,7 +51,16 @@ class EncoderConfig:
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise ValueError(f"unknown encoder kind {self.kind!r}; known: {ENCODER_KINDS}")
+        for name in ("vocab_size", "embedding_dim", "cnn_filters_per_width"):
+            check_number(name, getattr(self, name), integer=True)
+        if self.gru_hidden is not None:
+            check_number("gru_hidden", self.gru_hidden, integer=True)
+        if not isinstance(self.cnn_filter_widths, (list, tuple)):
+            raise TypeError(f"cnn_filter_widths must be a list of integers, "
+                            f"got {self.cnn_filter_widths!r}")
         self.cnn_filter_widths = tuple(self.cnn_filter_widths)
+        for width in self.cnn_filter_widths:
+            check_number("cnn_filter_widths", width, integer=True)
         if self.kind == "gru" and self.gru_hidden is None:
             self.gru_hidden = self.embedding_dim
         if not self.cnn_filter_widths or min(self.cnn_filter_widths) < 1:
@@ -73,7 +92,6 @@ class EncoderConfig:
         # configs written before dropout was removed carry "dropout": 0.0
         if d.pop("dropout", 0.0) != 0.0:
             raise ValueError("dropout is not supported; only 0.0 is accepted")
-        d["cnn_filter_widths"] = tuple(d.get("cnn_filter_widths", (3, 4, 5)))
         return cls(**d)
 
 

@@ -299,18 +299,26 @@ def blas_stacked_rows_check():
     return True, f"{len(sizes)} shapes"
 
 
+def corruptible_ops() -> tuple:
+    """The autodiff ops that ``run_selftest(corrupt_op=...)`` can break:
+    those with a gradient check of their own."""
+    return tuple(sorted({name for name, _, _ in op_gradcheck_cases()
+                         if callable(getattr(ad, name, None))}))
+
+
 def run_selftest(corrupt_op: str | None = None):
     """Run every check; returns a list of (name, passed, detail) tuples.
 
-    ``corrupt_op`` deliberately breaks one op's backward rule for the
-    duration of the run, to prove the harness catches bad gradients.
+    ``corrupt_op``, one of ``corruptible_ops()``, deliberately breaks one
+    op's backward rule for the duration of the run, to prove the harness
+    catches bad gradients.
     """
     results = []
     if corrupt_op is not None:
         original = getattr(ad, corrupt_op)
 
-        def corrupted(x):
-            out = original(x)  # correct forward, wrong backward: drop the entry
+        def corrupted(*args, **kwargs):
+            out = original(*args, **kwargs)  # correct forward, wrong backward: drop the entry
             if out.graph is not None:  # recorded, so its entry is the tape's last
                 out.graph.ops[-1] = (out, lambda _out: None)
             return out

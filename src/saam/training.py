@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff as ad
-from .encoders import EncoderConfig
+from .encoders import EncoderConfig, check_number
 from .heads import HeadConfig
 from .model import SaamModel
 from .text import CorpusError
@@ -82,6 +82,11 @@ class TrainConfig:
         from .heads import VARIANTS
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; known: {VARIANTS}")
+        for name in ("n_aspects", "s_max", "t_max", "n_classes", "batch_size", "max_epochs",
+                     "patience", "seed"):
+            check_number(name, getattr(self, name), integer=True)
+        for name in ("lr", "lambda_overall", "lambda_aspect", "epsilon"):
+            check_number(name, getattr(self, name))
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         for name in ("s_max", "t_max", "batch_size", "max_epochs", "patience"):
@@ -90,6 +95,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.optimizer not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.grad_clip is not None and self.grad_clip != "auto":
+            check_number("grad_clip", self.grad_clip)
+            if not self.grad_clip > 0:
+                raise ValueError(f"grad_clip must be > 0, got {self.grad_clip}")
 
     def resolved_grad_clip(self) -> float | None:
         if self.grad_clip == "auto":
@@ -154,7 +163,19 @@ def document_loss(model: SaamModel, preds, doc, config: TrainConfig):
 # optimizers
 # ---------------------------------------------------------------------------
 
+def _scale_gradient(p: ad.Tensor, factor: float) -> None:
+    """``p.grad *= factor``, multiplying only the rows that ``ad.grad_rows``
+    names when there is a record: every other row holds ``+0.0``, which a
+    factor ``>= 0`` leaves as it is."""
+    rows = ad.grad_rows(p)
+    if rows is None or not factor >= 0:
+        p.grad *= factor
+    else:
+        p.grad[rows] *= factor
+
+
 def clip_gradients(params: dict, max_norm: float) -> None:
+    # one dense sum per gradient: its pairwise order sets the bits
     total = 0.0
     for p in params.values():
         if p.grad is not None:
@@ -164,7 +185,7 @@ def clip_gradients(params: dict, max_norm: float) -> None:
         factor = max_norm / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad *= factor
+                _scale_gradient(p, factor)
 
 
 class Sgd:
@@ -187,6 +208,10 @@ class Adam:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
+        # name -> bool mask of the rows that have had a gradient so far, for
+        # parameters whose gradients have all come with a row record; None
+        # once every row may have nonzero m and v
+        self.live_rows = {}
 
     def step(self) -> None:
         """One dense Adam update of every parameter that has a gradient.
@@ -197,6 +222,14 @@ class Adam:
         ``p -= lr*(m/b1t) / (sqrt(v/b2t) + eps)``, so the result is
         bit-identical to evaluating those expressions. Every ufunc gets an
         ``out=`` array: on a 0-d operand it would otherwise return a scalar.
+
+        Of a table whose gradients have so far all come with a row record
+        (``ad.grad_rows``), only the live rows are updated: those that have
+        had a gradient at this step or any earlier one. Each of the others
+        has ``g = m = v = 0``, where dense Adam is an exact no-op (``m`` and
+        ``v`` stay ``0``, the step is ``0 / (0 + eps) = 0``, and ``p - 0``
+        is ``p``, ``-0.0`` included). A live row is updated at every step,
+        as dense Adam does, also while its gradient is zero.
         """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
@@ -204,23 +237,51 @@ class Adam:
         for name, p in self.params.items():
             if p.grad is None:
                 continue
-            g, m, v = p.grad, self.m[name], self.v[name]
-            step = np.empty_like(m)
-            denom = np.empty_like(v)
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(g, 1.0 - self.beta1, out=step)
-            np.add(m, step, out=m)
-            np.multiply(g, g, out=denom)
-            np.multiply(denom, 1.0 - self.beta2, out=denom)
-            np.multiply(v, self.beta2, out=v)
-            np.add(v, denom, out=v)
-            np.divide(m, b1t, out=step)
-            np.multiply(step, self.lr, out=step)
-            np.divide(v, b2t, out=denom)
-            np.sqrt(denom, out=denom)
-            np.add(denom, self.eps, out=denom)
-            np.divide(step, denom, out=step)
-            np.subtract(p.data, step, out=p.data)
+            live = self._live_rows(name, p)
+            if live is None:
+                self._update(p.grad, self.m[name], self.v[name], p.data, b1t, b2t)
+            else:
+                m, v = self.m[name][live], self.v[name][live]
+                data = p.data[live]
+                self._update(p.grad[live], m, v, data, b1t, b2t)
+                self.m[name][live], self.v[name][live], p.data[live] = m, v, data
+
+    def _live_rows(self, name: str, p: ad.Tensor):
+        """Sorted rows of ``p`` that have had a gradient at this step or an
+        earlier one, or ``None`` for every row."""
+        rows = ad.grad_rows(p)
+        if rows is None:
+            self.live_rows[name] = None
+            return None
+        if name not in self.live_rows:
+            self.live_rows[name] = np.zeros(p.data.shape[0], dtype=bool)
+        mask = self.live_rows[name]
+        if mask is None:
+            return None
+        mask[rows] = True
+        if mask.all():
+            self.live_rows[name] = None
+            return None
+        return np.flatnonzero(mask)
+
+    def _update(self, g, m, v, data, b1t: float, b2t: float) -> None:
+        """Adam's ufunc sequence on ``m``, ``v`` and ``data``, in place."""
+        step = np.empty_like(m)
+        denom = np.empty_like(v)
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1.0 - self.beta1, out=step)
+        np.add(m, step, out=m)
+        np.multiply(g, g, out=denom)
+        np.multiply(denom, 1.0 - self.beta2, out=denom)
+        np.multiply(v, self.beta2, out=v)
+        np.add(v, denom, out=v)
+        np.divide(m, b1t, out=step)
+        np.multiply(step, self.lr, out=step)
+        np.divide(v, b2t, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, self.eps, out=denom)
+        np.divide(step, denom, out=step)
+        np.subtract(data, step, out=data)
 
 
 def make_optimizer(kind: str, params: dict, lr: float):
@@ -294,7 +355,7 @@ def train(config: TrainConfig, splits: dict, vocab_hash: bytes = b"\x00" * 32):
             scale = 1.0 / len(batch_idx)
             for p in model.params.values():
                 if p.grad is not None:
-                    p.grad *= scale
+                    _scale_gradient(p, scale)
             if clip is not None:
                 clip_gradients(model.params, clip)
             optimizer.step()

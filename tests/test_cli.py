@@ -166,6 +166,21 @@ class TestTrain:
             "s_max=0", "t_max=0", "batch_size=0", "max_epochs=0"])
     def test_unusable_size_is_usage_error(self, workspace, tmp_path, capsys,
                                           kind, top, encoder, field):
+        self.assert_one_line_usage_error(workspace, tmp_path, capsys, kind, top, encoder, field)
+
+    @pytest.mark.parametrize("top,encoder,field", [
+        ({"lr": "a"}, {}, "lr"),
+        ({}, {"embedding_dim": "8"}, "embedding_dim"),
+        ({"batch_size": True}, {}, "batch_size"),
+        ({"grad_clip": "x"}, {}, "grad_clip"),
+    ], ids=["lr=a", "embedding_dim=str", "batch_size=true", "grad_clip=x"])
+    def test_wrong_type_is_usage_error_naming_field(self, workspace, tmp_path, capsys,
+                                                    top, encoder, field):
+        self.assert_one_line_usage_error(workspace, tmp_path, capsys, "mean", top, encoder,
+                                         field)
+
+    @staticmethod
+    def assert_one_line_usage_error(workspace, tmp_path, capsys, kind, top, encoder, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"variant": "R", "s_max": 4, **top, "encoder": {
             "kind": kind, "embedding_dim": 4, **encoder}}))
@@ -405,3 +420,13 @@ class TestSelftestAndUsage:
         assert any(r["name"] == "op:tanh" and not r["passed"] for r in results)
         manifest = json.loads((tmp_path / "manifest-selftest.json").read_text())
         assert "op:tanh" in manifest["failures"]
+
+    def test_corrupted_binary_op_fails_naming_it(self, capsys):
+        assert main(["selftest", "--corrupt", "matmul"]) == EXIT_NUMERIC
+        assert "op:matmul" in capsys.readouterr().err
+
+    def test_unknown_corrupt_op_is_usage_error(self, capsys):
+        assert main(["selftest", "--corrupt", "nosuchop"]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:"), err
+        assert "'nosuchop'" in err[0] and "matmul" in err[0] and "tanh" in err[0]

@@ -26,6 +26,7 @@ from saam.training import (
     TrainingDivergedError,
     VocabularyHashError,
     _mean_split_loss,
+    _scale_gradient,
     classification_loss,
     clip_gradients,
     document_loss,
@@ -142,24 +143,110 @@ class TestOptimizers:
         grads = [{k: rng.normal(scale=10.0 ** rng.integers(-4, 2), size=s)
                   for k, s in shapes.items()} for _ in range(6)]
         grads[3]["u"] = None  # a parameter without a gradient this step
+        # Tables get their gradients from embedding_lookup's backward, so
+        # they carry a row record. Row 0 of "table" is looked up only at
+        # step 1, row 3 always gets a gradient of exactly +0.0 or -0.0 from
+        # upstream, row 7 is never looked up, and step 4 gives no table
+        # gradient at all; every row of "small" is looked up by step 3.
+        tables = {"table": (8, 3), "small": (3, 2)}
+        init.update({k: rng.normal(size=s) for k, s in tables.items()})
+        lookups = {"table": [[0, 5, 5, 3], [2, 3], [3, 6, 2, 3], None, [1, 3, 4], [6, 6]],
+                   "small": [[1], [1], [0, 2], [1], None, [2]]}
+        upstreams = {name: [None if ids is None else rng.normal(size=(len(ids), tables[name][1]))
+                            for ids in steps] for name, steps in lookups.items()}
+        for k, ids in enumerate(lookups["table"]):
+            for i, row in enumerate(ids or []):
+                if row == 3:
+                    upstreams["table"][k][i] = -0.0 if (k + i) % 2 else 0.0
 
         def run(step):
             params = {k: ad.parameter(v.copy()) for k, v in init.items()}
             opt = Adam(params, lr=0.03)
-            for g in grads:
-                for k, p in params.items():
-                    p.grad = None if g[k] is None else g[k].copy()
+            recorded = []
+            for k, g in enumerate(grads):
+                ad.zero_grads(params)
+                for name in shapes:
+                    params[name].grad = None if g[name] is None else g[name].copy()
+                for name, steps in lookups.items():
+                    if steps[k] is not None:
+                        with ad.Graph():
+                            out = ad.embedding_lookup(params[name], steps[k])
+                            ad.backward(ad.reduce_sum(ad.mul(out,
+                                                             ad.constant(upstreams[name][k]))))
+                rows = ad.grad_rows(params["table"])
+                recorded.append(None if rows is None else rows.tolist())
+                step(opt)
+            return opt, recorded
+
+        (fast, recorded), (slow, _) = run(Adam.step), run(allocating_adam_step)
+        assert recorded == [[0, 3, 5], [2, 3], [2, 3, 6], None, [1, 3, 4], [6]]
+        for k, shape in {**shapes, **tables}.items():
+            for a, b in ((fast.params[k].data, slow.params[k].data),
+                         (fast.m[k], slow.m[k]), (fast.v[k], slow.v[k])):
+                assert isinstance(a, np.ndarray) and a.shape == shape
+                assert a.tobytes() == b.tobytes(), k
+        assert fast.params["table"].data[7].tobytes() == init["table"][7].tobytes()
+        assert fast.live_rows["table"].sum() == 7 and fast.live_rows["small"] is None
+
+    def test_adam_steps_every_row_of_a_gradient_written_outside_the_scatter(self):
+        rng = np.random.default_rng(4)
+        init = rng.normal(size=(6, 2))
+        dense = rng.normal(size=(6, 2))
+
+        def run(step, write):
+            table = ad.parameter(init.copy())
+            opt = Adam({"table": table}, lr=0.1)
+            for k, ids in enumerate([[1], [2, 1], [4]]):
+                ad.zero_grads([table])
+                with ad.Graph():
+                    ad.backward(ad.reduce_sum(ad.embedding_lookup(table, ids)))
+                assert ad.grad_rows(table).tolist() == sorted(set(ids))
+                if k == 1:
+                    write(table)
+                    assert ad.grad_rows(table) is None
                 step(opt)
             return opt
 
-        fast = run(Adam.step)
-        slow = run(allocating_adam_step)
-        for k in shapes:
-            assert np.array_equal(fast.params[k].data, slow.params[k].data)
-            assert np.array_equal(fast.m[k], slow.m[k])
-            assert np.array_equal(fast.v[k], slow.v[k])
-            assert isinstance(fast.m[k], np.ndarray) and fast.m[k].shape == shapes[k]
-            assert isinstance(fast.params[k].data, np.ndarray)
+        def accumulate(table):
+            ad._accumulate(table, dense)
+
+        def assign(table):
+            table.grad = table.grad + dense
+
+        for write in (accumulate, assign):
+            fast, slow = run(Adam.step, write), run(allocating_adam_step, write)
+            for a, b in ((fast.params["table"].data, slow.params["table"].data),
+                         (fast.m["table"], slow.m["table"]), (fast.v["table"], slow.v["table"])):
+                assert a.tobytes() == b.tobytes(), write.__name__
+            # every row moved at the dense step, so every row keeps moving
+            assert fast.live_rows["table"] is None
+
+    def test_row_rescales_equal_dense_formulas(self):
+        rng = np.random.default_rng(5)
+        table = ad.parameter(rng.normal(size=(9, 3)))
+        bias = ad.parameter(rng.normal(size=3))
+        params = {"table": table, "bias": bias}
+        with ad.Graph():
+            out = ad.embedding_lookup(table, [4, 1, 4, 7])
+            upstream = rng.normal(size=(4, 3))
+            upstream[1] = -0.0  # row 1 gets a gradient of exactly +0.0
+            loss = ad.add(ad.reduce_sum(ad.mul(out, ad.constant(upstream))),
+                          ad.reduce_sum(ad.mul(bias, ad.constant(rng.normal(size=3)))))
+            ad.backward(loss)
+        assert ad.grad_rows(table).tolist() == [1, 4, 7]
+        dense = {k: p.grad.copy() for k, p in params.items()}
+
+        _scale_gradient(table, 1.0 / 3)
+        assert table.grad.tobytes() == (dense["table"] * (1.0 / 3)).tobytes()
+        dense["table"] = dense["table"] * (1.0 / 3)
+
+        total = sum(float(np.sum(g * g)) for g in dense.values())
+        max_norm = 0.01 * np.sqrt(total)
+        factor = max_norm / np.sqrt(total)
+        clip_gradients(params, max_norm)
+        for k, p in params.items():
+            assert p.grad.tobytes() == (dense[k] * factor).tobytes(), k
+        assert ad.grad_rows(table).tolist() == [1, 4, 7]
 
     def test_clip_gradients(self):
         p = ad.parameter(np.zeros(4))

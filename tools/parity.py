@@ -7,10 +7,12 @@ like another git revision.
 directory (no checkout, no worktree). ``tools/parity_driver.py`` then runs
 once under each tree's ``src/`` in a subprocess, over a matrix of small
 trainings: mean, CNN (widths 2, 3, 5), CNN with one width wider than every
-sentence, and GRU encoders at e=6, plus CNN (100 filters per width) and
-GRU (hidden 32) encoders at the library's e=32, x C1/C2/R/flat-c/flat-r
-heads x hard/soft attribution masks x ``t_max`` 7 and 4, on two corpora:
-six-token sentences, and the same documents made ragged (see
+sentence, and GRU encoders at e=6; CNN (100 filters per width) and GRU
+(hidden 32) encoders at the library's e=32; and a mean encoder at e=6 whose
+vocabulary is padded with 2000 unused types and whose gradient clip fires
+on every step. Each runs with C1/C2/R/flat-c/flat-r heads x hard/soft
+attribution masks x ``t_max`` 7 and 4, on two corpora: six-token
+sentences, and the same documents made ragged (see
 ``parity_driver.ragged``). For each configuration it compares SHA-256
 digests of the checkpoint bytes, the training history and every
 ``predict`` output and attribution array. Exit status 0 when every digest
@@ -40,7 +42,12 @@ ENCODERS = {
     # the library's sizes, where CNN products reach K = 5 * 32 = 160
     "cnn-e32": {"kind": "cnn", "embedding_dim": 32, "cnn_filters_per_width": 100},
     "gru-e32": {"kind": "gru", "embedding_dim": 32, "gru_hidden": 32},
+    "mean-sparse": {"kind": "mean", "embedding_dim": 6},
 }
+# Further TrainConfig keys per encoder. "unused_types" is the driver's own
+# key: it pads the vocabulary with types that no document uses, so most
+# table rows never have a gradient. This clip fires on every step.
+ENCODER_EXTRAS = {"mean-sparse": {"unused_types": 2000, "grad_clip": 1e-3}}
 VARIANTS = ("C1", "C2", "R", "flat-c", "flat-r")
 CORPORA = ("regular", "ragged")
 
@@ -50,7 +57,7 @@ def matrix() -> list:
     return [[f"{corpus}/{enc}+{variant}/{mask}/t_max={t_max}", corpus,
              {"variant": variant, "encoder": encoder, "n_aspects": 2, "s_max": 4,
               "t_max": t_max, "lr": 0.05, "batch_size": 4, "max_epochs": 2, "patience": 2,
-              "seed": 3, "attribution_mask_mode": mask}]
+              "seed": 3, "attribution_mask_mode": mask, **ENCODER_EXTRAS.get(enc, {})}]
             for corpus in CORPORA for enc, encoder in ENCODERS.items() for variant in VARIANTS
             for mask in ("hard", "soft") for t_max in (7, 4)]
 

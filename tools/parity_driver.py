@@ -3,7 +3,9 @@ print SHA-256 digests of everything produced, as one JSON object.
 
 Run by ``tools/parity.py`` under one tree's ``src/`` on ``PYTHONPATH``; it
 reads the configuration matrix (a JSON list of ``[name, corpus, TrainConfig
-dict]`` triples, ``vocab_size`` filled in here) from stdin. It uses only
+dict]`` triples, ``vocab_size`` filled in here) from stdin. A config's
+``unused_types`` key, popped before ``TrainConfig`` sees it, adds that many
+table rows that no document looks up. It uses only
 interfaces that older trees share, so it can drive any revision being
 compared. Stdlib and numpy only.
 """
@@ -57,6 +59,8 @@ def ragged(docs, seed: int = 7) -> list:
 
 
 def run_config(config_dict: dict, docs, vocab_size: int, tmp: str) -> dict:
+    config_dict = dict(config_dict)
+    vocab_size += config_dict.pop("unused_types", 0)
     config = TrainConfig.from_dict({**config_dict,
                                     "encoder": {**config_dict["encoder"],
                                                 "vocab_size": vocab_size}})
