@@ -165,10 +165,10 @@ def document_loss(model: SaamModel, preds, doc, config: TrainConfig):
 
 def _scale_gradient(p: ad.Tensor, factor: float) -> None:
     """``p.grad *= factor``, multiplying only the rows that ``ad.grad_rows``
-    names when there is a record: every other row holds ``+0.0``, which a
-    factor ``>= 0`` leaves as it is."""
+    names when there is a record: every other row holds ``+0.0``, which the
+    factor (always ``> 0``: a batch mean or a clip) leaves as it is."""
     rows = ad.grad_rows(p)
-    if rows is None or not factor >= 0:
+    if rows is None:
         p.grad *= factor
     else:
         p.grad[rows] *= factor
@@ -199,6 +199,13 @@ class Sgd:
                 p.data -= self.lr * p.grad
 
 
+# Share of a table's rows above which Adam's dense update is faster than the
+# gather-update-scatter of the live rows. On a 20002x100 table (2-CPU x86-64,
+# numpy 2.4) the row update takes 9 ms at a 30% share, 17-18 ms at 35-40%
+# and 55 ms at 100%, against 17-20 ms dense; the cut sits below that range.
+DENSE_ABOVE_LIVE_SHARE = 0.25
+
+
 class Adam:
     def __init__(self, params: dict, lr: float,
                  beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS):
@@ -209,8 +216,9 @@ class Adam:
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.t = 0
         # name -> bool mask of the rows that have had a gradient so far, for
-        # parameters whose gradients have all come with a row record; None
-        # once every row may have nonzero m and v
+        # tables whose gradients have all come with a row record and whose
+        # live share is still at most DENSE_ABOVE_LIVE_SHARE; None once the
+        # dense update runs, which it then does for good
         self.live_rows = {}
 
     def step(self) -> None:
@@ -229,7 +237,11 @@ class Adam:
         has ``g = m = v = 0``, where dense Adam is an exact no-op (``m`` and
         ``v`` stay ``0``, the step is ``0 / (0 + eps) = 0``, and ``p - 0``
         is ``p``, ``-0.0`` included). A live row is updated at every step,
-        as dense Adam does, also while its gradient is zero.
+        as dense Adam does, also while its gradient is zero. Once more than
+        ``DENSE_ABOVE_LIVE_SHARE`` of a table's rows are live, the table
+        takes the dense update for good: gathering and scattering that many
+        rows costs more than the contiguous passes. Either path gives the
+        same bits, so the switch changes no result.
         """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
@@ -259,10 +271,11 @@ class Adam:
         if mask is None:
             return None
         mask[rows] = True
-        if mask.all():
+        live = np.flatnonzero(mask)
+        if len(live) > DENSE_ABOVE_LIVE_SHARE * len(mask):
             self.live_rows[name] = None
             return None
-        return np.flatnonzero(mask)
+        return live
 
     def _update(self, g, m, v, data, b1t: float, b2t: float) -> None:
         """Adam's ufunc sequence on ``m``, ``v`` and ``data``, in place."""

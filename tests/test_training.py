@@ -147,11 +147,14 @@ class TestOptimizers:
         # they carry a row record. Row 0 of "table" is looked up only at
         # step 1, row 3 always gets a gradient of exactly +0.0 or -0.0 from
         # upstream, row 7 is never looked up, and step 4 gives no table
-        # gradient at all; every row of "small" is looked up by step 3.
-        tables = {"table": (8, 3), "small": (3, 2)}
+        # gradient at all. Seven of the 32 rows of "table" go live, which
+        # keeps it on the row update; four of the 12 rows of "small" are live
+        # after step 2, more than DENSE_ABOVE_LIVE_SHARE, which moves it to
+        # the dense update from there.
+        tables = {"table": (32, 3), "small": (12, 2)}
         init.update({k: rng.normal(size=s) for k, s in tables.items()})
         lookups = {"table": [[0, 5, 5, 3], [2, 3], [3, 6, 2, 3], None, [1, 3, 4], [6, 6]],
-                   "small": [[1], [1], [0, 2], [1], None, [2]]}
+                   "small": [[1], [1], [0, 2, 5], [1], None, [2]]}
         upstreams = {name: [None if ids is None else rng.normal(size=(len(ids), tables[name][1]))
                             for ids in steps] for name, steps in lookups.items()}
         for k, ids in enumerate(lookups["table"]):
@@ -162,7 +165,7 @@ class TestOptimizers:
         def run(step):
             params = {k: ad.parameter(v.copy()) for k, v in init.items()}
             opt = Adam(params, lr=0.03)
-            recorded = []
+            recorded, live = [], []
             for k, g in enumerate(grads):
                 ad.zero_grads(params)
                 for name in shapes:
@@ -176,17 +179,20 @@ class TestOptimizers:
                 rows = ad.grad_rows(params["table"])
                 recorded.append(None if rows is None else rows.tolist())
                 step(opt)
-            return opt, recorded
+                live.append({k: None if m is None else int(m.sum())
+                             for k, m in getattr(opt, "live_rows", {}).items()})
+            return opt, recorded, live
 
-        (fast, recorded), (slow, _) = run(Adam.step), run(allocating_adam_step)
+        (fast, recorded, live), (slow, _, _) = run(Adam.step), run(allocating_adam_step)
         assert recorded == [[0, 3, 5], [2, 3], [2, 3, 6], None, [1, 3, 4], [6]]
+        assert [s["small"] for s in live] == [1, 1, None, None, None, None]
+        assert [s.get("table") for s in live] == [3, 4, 5, 5, 7, 7]
         for k, shape in {**shapes, **tables}.items():
             for a, b in ((fast.params[k].data, slow.params[k].data),
                          (fast.m[k], slow.m[k]), (fast.v[k], slow.v[k])):
                 assert isinstance(a, np.ndarray) and a.shape == shape
                 assert a.tobytes() == b.tobytes(), k
-        assert fast.params["table"].data[7].tobytes() == init["table"][7].tobytes()
-        assert fast.live_rows["table"].sum() == 7 and fast.live_rows["small"] is None
+        assert fast.params["table"].data[7:].tobytes() == init["table"][7:].tobytes()
 
     def test_adam_steps_every_row_of_a_gradient_written_outside_the_scatter(self):
         rng = np.random.default_rng(4)

@@ -16,7 +16,10 @@ Per workload the output holds every run (side, seed, order, metrics,
 with the base's quartiles, the number of pairs the change won (by the
 metric's direction in ``BENCHMARK.json``), whether the change is better
 in at least 9 of 10 pairs and in the median by more than the base's IQR,
-and the median's relative change against the metric's bound. It also says
+and the median's relative change against the metric's bound. A metric
+is ``unresolved`` when the base's IQR exceeds the bound (relative to the
+base median) and the two sides' runs overlap: its median then shows
+neither a gain nor a loss. It also says
 whether ``dev_loss`` and ``attr_accuracy`` were equal in every pair, and it
 records the host: CPU count, Python, numpy and its BLAS, and the thread
 variables (``perfbench/run.py`` sets the BLAS ones to 1 itself). The file
@@ -123,6 +126,11 @@ def summarize(runs: list, directions: dict) -> dict:
                 rel = sign * (entry["change_median"] / entry["base_median"] - 1.0)
                 entry.update(relative_gain=rel, bound=bound,
                              within_bound=bound is None or rel >= -bound)
+                # the parent's own spread is wider than the bound, so a
+                # median inside it says nothing, unless the runs do not overlap
+                separated = all(sign * (c - b) > 0 for b in base for c in change)
+                entry["unresolved"] = (bound is not None and not separated
+                                       and (q3 - q1) / abs(entry["base_median"]) > bound)
         metrics[name] = entry
     equal = {name: all(by_side["base"][k]["metrics"].get(name)
                        == by_side["change"][k]["metrics"].get(name) for k in complete)
@@ -191,7 +199,9 @@ def main(argv=None) -> int:
                 print(f"{workload} {name}: base {m['base_median']:.4g} "
                       f"[{m['base_q1']:.4g}, {m['base_q3']:.4g}] -> change "
                       f"{m['change_median']:.4g}, better in {m['change_better_pairs']}/"
-                      f"{m['pairs']} pairs")
+                      f"{m['pairs']} pairs"
+                      + (", unresolved: parent spread wider than the bound"
+                         if m.get("unresolved") else ""))
         print(f"{workload}: equal {data['equal_in_every_pair']}, "
               f"fail_ratio {data['fail_ratio']}")
     return 0
