@@ -50,11 +50,6 @@ class NumericError(ArithmeticError):
     """An operation produced (or was asked to produce) non-finite values."""
 
 
-# When enabled, every op scans its output for NaN/Inf. Cheap at the array
-# sizes this engine targets, so it defaults to on.
-_debug_checks = True
-
-
 def _all_finite(data) -> bool:
     """True when no element of ``data`` is NaN or Inf.
 
@@ -65,15 +60,6 @@ def _all_finite(data) -> bool:
     product never prints an overflow or invalid-value warning.
     """
     return math.isfinite(np.vdot(data, data)) or bool(np.isfinite(data).all())
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
-
-def debug_checks_enabled() -> bool:
-    return _debug_checks
 
 
 _node_ids = itertools.count()
@@ -196,10 +182,16 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.row_record = None
 
 
+def _records(parents) -> bool:
+    """Whether an op on ``parents`` records: inside a Graph, with an operand
+    that requires gradients."""
+    return bool(_graph_stack) and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents, backward_fn, op_name: str) -> Tensor:
-    if _debug_checks and not _all_finite(data):
+    if not _all_finite(data):
         raise NumericError(f"{op_name} produced non-finite values")
-    if _graph_stack and any(p.requires_grad for p in parents):
+    if _records(parents):
         out = Tensor(data, requires_grad=True)
         _graph_stack[-1].record(out, backward_fn)
         return out
@@ -299,47 +291,26 @@ def _binary(op_name, a: Tensor, b, fwd, da, db) -> Tensor:
 
     Operands must have equal shapes, or one side must be a plain number
     or a single-element tensor (scalar broadcast; its gradient is the sum
-    of the upstream gradient).
+    of its upstream term, reshaped to its own shape).
     """
     if not isinstance(b, Tensor):
-        c = float(b)
-        out_data = fwd(a.data, c)
+        x, y, parents = a.data, float(b), (a,)
+    elif a.shape == b.shape:
+        x, y, parents = a.data, b.data, (a, b)
+    elif b.data.size == 1:
+        x, y, parents = a.data, b.data.reshape(()), (a, b)
+    elif a.data.size == 1:
+        x, y, parents = a.data.reshape(()), b.data, (a, b)
+    else:
+        raise DimensionError(f"{op_name}: shapes {a.shape} and {b.shape} are neither equal nor scalar-broadcastable")
+    out_data = fwd(x, y)
 
-        def backward_const(out):
-            _accumulate(a, da(out.grad, a.data, c))
+    def backward_fn(out):
+        for t, d in zip(parents, (da, db)):
+            g = d(out.grad, x, y)
+            _accumulate(t, g if t.shape == out.shape else np.sum(g).reshape(t.shape))
 
-        return _make(out_data, (a,), backward_const, op_name)
-
-    if a.shape == b.shape:
-        out_data = fwd(a.data, b.data)
-
-        def backward_same(out):
-            _accumulate(a, da(out.grad, a.data, b.data))
-            _accumulate(b, db(out.grad, a.data, b.data))
-
-        return _make(out_data, (a, b), backward_same, op_name)
-
-    if b.data.size == 1:
-        bval = b.data.reshape(())
-        out_data = fwd(a.data, bval)
-
-        def backward_bscalar(out):
-            _accumulate(a, da(out.grad, a.data, bval))
-            _accumulate(b, np.sum(db(out.grad, a.data, bval)).reshape(b.shape))
-
-        return _make(out_data, (a, b), backward_bscalar, op_name)
-
-    if a.data.size == 1:
-        aval = a.data.reshape(())
-        out_data = fwd(aval, b.data)
-
-        def backward_ascalar(out):
-            _accumulate(a, np.sum(da(out.grad, aval, b.data)).reshape(a.shape))
-            _accumulate(b, db(out.grad, aval, b.data))
-
-        return _make(out_data, (a, b), backward_ascalar, op_name)
-
-    raise DimensionError(f"{op_name}: shapes {a.shape} and {b.shape} are neither equal nor scalar-broadcastable")
+    return _make(out_data, parents, backward_fn, op_name)
 
 
 def add(a, b):
@@ -656,7 +627,7 @@ def gru_scan(embs, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
     and ``Wz`` terms. Parameter terms are folded into ``p.grad`` in the
     chain's tape order, sentence N-1 down to 0 and within each sentence
     token last to first, so the result equals N one-sentence calls on one
-    tape bit for bit. The debug scan checks every gate pre-activation of
+    tape bit for bit. The finite scan checks every gate pre-activation of
     every real token: each intermediate of the chain is finite whenever
     they are.
     """
@@ -685,7 +656,7 @@ def gru_scan(embs, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
     # every token's input products at once: stacked, they keep their bits
     x_z, x_r, x_h = xs @ Wz, xs @ Wr, xs @ Wh
     parents = (*embs, wz, uz, bz, wr, ur, br, wh, uh, bh)
-    record = bool(_graph_stack) and any(p.requires_grad for p in parents)
+    record = _records(parents)
     rh_steps = np.zeros((steps, n, 1, h_dim)) if record else None
     saved = []
     for t in range(steps):
@@ -699,7 +670,7 @@ def gru_scan(embs, wz: Tensor, uz: Tensor, bz: Tensor, wr: Tensor, ur: Tensor,
         z, r = zr[..., :h_dim], zr[..., h_dim:]
         rh = r * h
         pre_h = x_h[t, :m] + rh @ Uh + Bh
-        if _debug_checks and not (_all_finite(pre_zr) and _all_finite(pre_h)):
+        if not (_all_finite(pre_zr) and _all_finite(pre_h)):
             raise NumericError("gru_scan produced non-finite values")
         cand = np.tanh(pre_h)
         one_minus_z = 1.0 - z
@@ -794,7 +765,7 @@ def conv_max_pool(embs, w: Tensor, b: Tensor, width: int) -> Tensor:
     pre = np.zeros((n, p_max, f))
     for p, rows in groups.items():
         pre[rows, :p] = windows[rows, :p] @ w.data + b.data
-    if _debug_checks and not _all_finite(pre):
+    if not _all_finite(pre):
         raise NumericError("conv_max_pool produced non-finite values")
     acts = np.maximum(pre, 0.0)
     top = np.max(acts, axis=1)
@@ -926,13 +897,16 @@ def _loss_value(build_loss) -> float:
     return v
 
 
+GRAD_CHECK_MAX_ELEMENTS = 100
+
+
 def grad_check(build_loss, params, h: float = 1e-5, tol: float = 1e-4,
-               max_elements_per_tensor: int = 100, seed: int = 0) -> GradCheckReport:
+               seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of build_loss() against central differences.
 
     ``build_loss`` must deterministically rebuild the computation from the
     current contents of ``params`` (a name -> Tensor mapping). Tensors larger
-    than ``max_elements_per_tensor`` are probed on a fixed-seed sample of
+    than ``GRAD_CHECK_MAX_ELEMENTS`` are probed on a fixed-seed sample of
     that many elements.
     """
     if not isinstance(params, dict):
@@ -950,8 +924,8 @@ def grad_check(build_loss, params, h: float = 1e-5, tol: float = 1e-4,
     for name, p in params.items():
         flat = p.data.reshape(-1)
         n = flat.size
-        if n > max_elements_per_tensor:
-            indices = np.sort(rng.choice(n, size=max_elements_per_tensor, replace=False))
+        if n > GRAD_CHECK_MAX_ELEMENTS:
+            indices = np.sort(rng.choice(n, size=GRAD_CHECK_MAX_ELEMENTS, replace=False))
         else:
             indices = np.arange(n)
         worst = 0.0

@@ -33,9 +33,6 @@ class Snippet:
     score: float    # raw sentence sentiment score
     polarity: str   # lowest | highest
 
-    def render(self) -> str:
-        return f"{self.text} [{self.aspect}, {self.score:.3f}]"
-
 
 def extract_snippets(doc, attribution: AttributionResult, aspect_names, aspect: str,
                      polarity: str = "lowest", tau: float = DEFAULT_TAU,

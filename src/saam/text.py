@@ -106,11 +106,6 @@ def split_sentences(raw_text: str) -> list:
     return out
 
 
-def tokenize_and_split(raw_text: str, vocab: "Vocabulary") -> list:
-    """Sentence-split and map to token ids; unknown tokens become UNK_ID."""
-    return [vocab.encode(tokens) for _, tokens in split_sentences(raw_text)]
-
-
 # ---------------------------------------------------------------------------
 # vocabulary
 # ---------------------------------------------------------------------------
@@ -130,10 +125,14 @@ class Vocabulary:
     def encode(self, tokens) -> list:
         return [self.id_for(t) for t in tokens]
 
+    def _text(self) -> str:
+        """The vocabulary file's contents: one line per type, by id."""
+        return "".join(f"{token}\t{tid}\t{self.counts.get(token, 0)}\n"
+                       for token, tid in sorted(self.token_to_id.items(), key=lambda kv: kv[1]))
+
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            for token, tid in sorted(self.token_to_id.items(), key=lambda kv: kv[1]):
-                f.write(f"{token}\t{tid}\t{self.counts.get(token, 0)}\n")
+            f.write(self._text())
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
@@ -150,10 +149,8 @@ class Vocabulary:
         return cls(token_to_id, counts)
 
     def content_hash(self) -> bytes:
-        h = hashlib.sha256()
-        for token, tid in sorted(self.token_to_id.items(), key=lambda kv: kv[1]):
-            h.update(f"{token}\t{tid}\t{self.counts.get(token, 0)}\n".encode("utf-8"))
-        return h.digest()
+        """SHA-256 of the vocabulary file's UTF-8 bytes."""
+        return hashlib.sha256(self._text().encode("utf-8")).digest()
 
 
 def build_vocabulary(corpus, min_frequency: int = 1) -> Vocabulary:
@@ -247,16 +244,6 @@ class PaddedBatch:
 
     def __len__(self):
         return self.token_ids.shape[0]
-
-    def doc_sentences(self, b: int) -> list:
-        """Real token-id sequences for document b, via the masks."""
-        out = []
-        for s in range(self.token_ids.shape[1]):
-            if not self.sentence_mask[b, s]:
-                break
-            row = self.token_ids[b, s]
-            out.append([int(t) for t in row[self.token_mask[b, s]]])
-        return out
 
 
 def make_batch(docs, s_max: int, t_max: int) -> PaddedBatch:
@@ -376,6 +363,9 @@ def aspect_names_from_records(records) -> AspectSet:
 # synthetic corpus
 # ---------------------------------------------------------------------------
 
+SHARED_POOL = tuple(f"shared_{k}" for k in range(8))
+SENTIMENT_TOKEN_VARIANTS = 2
+
 _RATING_GRIDS = {
     "integer": [float(r) for r in range(1, 6)],
     "half": [1.0 + 0.5 * k for k in range(9)],
@@ -397,15 +387,15 @@ def _round_to_grid(value: float, scheme: str) -> float:
 def generate_synthetic_corpus(n_aspects: int = 4, n_docs: int = 100, seed: int = 0,
                               keywords_per_aspect: int = 6, tokens_per_sentence: int = 3,
                               sentences_per_aspect: int = 1, rating_scheme: str = "integer",
-                              overlap_fraction: float = 0.0, shared_pool_size: int = 8,
-                              sentiment_variants: int = 2, exact_mean_only: bool = False,
+                              overlap_fraction: float = 0.0, exact_mean_only: bool = False,
                               aspect_names=None, aspect_vocabularies=None) -> list:
     """Generate corpus records whose sentence aspects and scores are known.
 
     Each sentence belongs to exactly one aspect: it mixes keywords from that
     aspect's vocabulary (or, with probability ``overlap_fraction`` per slot,
-    from a pool shared across aspects) with one sentiment token that encodes
-    the aspect's rating. The overall rating is the mean of the aspect
+    from ``SHARED_POOL``, shared across aspects) with one of
+    ``SENTIMENT_TOKEN_VARIANTS`` sentiment tokens that encode the aspect's
+    rating. The overall rating is the mean of the aspect
     ratings rounded to the rating grid; ``exact_mean_only`` rejects rating
     draws whose mean is off-grid, making every target exactly representable.
     Ground-truth sentence labels are stored in ``sentence_labels``.
@@ -427,7 +417,6 @@ def generate_synthetic_corpus(n_aspects: int = 4, n_docs: int = 100, seed: int =
             if token in seen:
                 raise ValueError(f"overlapping aspect vocabularies: token {token!r} appears twice")
             seen.add(token)
-    shared_pool = [f"shared_{k}" for k in range(shared_pool_size)]
 
     grid = _RATING_GRIDS[rating_scheme]
     rng = np.random.default_rng(seed)
@@ -447,11 +436,11 @@ def generate_synthetic_corpus(n_aspects: int = 4, n_docs: int = 100, seed: int =
             tokens = []
             for _ in range(tokens_per_sentence):
                 if overlap_fraction > 0.0 and rng.random() < overlap_fraction:
-                    tokens.append(shared_pool[rng.integers(len(shared_pool))])
+                    tokens.append(SHARED_POOL[rng.integers(len(SHARED_POOL))])
                 else:
                     vocab = aspect_vocabularies[a]
                     tokens.append(vocab[rng.integers(len(vocab))])
-            tokens.append(_sentiment_token(ratings[a], int(rng.integers(sentiment_variants))))
+            tokens.append(_sentiment_token(ratings[a], int(rng.integers(SENTIMENT_TOKEN_VARIANTS))))
             rng.shuffle(tokens)
             sentences.append(" ".join(tokens))
             labels.append(aspect_names[a])

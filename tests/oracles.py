@@ -8,6 +8,7 @@ builds a new array per expression. The head oracles live in
 import numpy as np
 
 from saam import autodiff as ad
+from saam.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def dense_scatter_embedding_lookup(table, ids):
@@ -26,14 +27,14 @@ def dense_scatter_embedding_lookup(table, ids):
 def allocating_adam_step(opt):
     """``Adam.step`` written as whole-array expressions, each allocating its result."""
     opt.t += 1
-    b1t = 1.0 - opt.beta1 ** opt.t
-    b2t = 1.0 - opt.beta2 ** opt.t
+    b1t = 1.0 - ADAM_BETA1 ** opt.t
+    b2t = 1.0 - ADAM_BETA2 ** opt.t
     for name, p in opt.params.items():
         if p.grad is None:
             continue
         g = p.grad
-        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
-        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * (g * g)
+        opt.m[name] = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
+        opt.v[name] = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * (g * g)
         m_hat = opt.m[name] / b1t
         v_hat = opt.v[name] / b2t
-        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        p.data -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -405,18 +405,9 @@ class TestStructuralOps:
 
 class TestFiniteScan:
     def test_nan_raises_in_debug_mode(self):
-        assert ad.debug_checks_enabled()
         x = constant([710.0])  # exp overflows float64
         with pytest.raises(NumericError):
             mul(x, constant([np.inf]))
-
-    def test_scan_can_be_disabled(self):
-        ad.set_debug_checks(False)
-        try:
-            out = mul(constant([1.0]), constant([np.inf]))
-            assert np.isinf(out.data[0])
-        finally:
-            ad.set_debug_checks(True)
 
     def test_finite_values_whose_sum_overflows_pass(self):
         with np.errstate(over="ignore"):
@@ -454,12 +445,16 @@ class TestFusedEncoderOps:
         emb = constant(np.abs(rng.normal(size=(2, 3))) + 0.5)
         params = self.gru_params(rng)
         params[0].data[...] = 1e308  # x @ wz overflows: z saturates at 1
+        wz, uz, bz, wr, ur, br, wh, uh, bh = (p.data for p in params)
+        h = np.zeros((1, 4))
         with np.errstate(over="ignore"):
-            ad.set_debug_checks(False)
-            try:
-                assert np.all(np.isfinite(ad.gru_scan([emb], *params).data))
-            finally:
-                ad.set_debug_checks(True)
+            for x in emb.data[:, None]:  # the GRU step in plain numpy
+                pre_z = x @ wz + h @ uz + bz
+                assert np.all(np.isinf(pre_z))
+                z = 1.0 / (1.0 + np.exp(-pre_z))
+                r = 1.0 / (1.0 + np.exp(-(x @ wr + h @ ur + br)))
+                h = z * h + (1.0 - z) * np.tanh(x @ wh + (r * h) @ uh + bh)
+            assert np.all(np.isfinite(h))  # so only the pre-activation scan can catch it
             with pytest.raises(NumericError, match="gru_scan"):
                 ad.gru_scan([emb], *params)
 

@@ -179,6 +179,16 @@ class TestTrain:
         self.assert_one_line_usage_error(workspace, tmp_path, capsys, "mean", top, encoder,
                                          field)
 
+    @pytest.mark.parametrize("top,field", [
+        ({"attribution_mask_mode": "x"}, "attribution_mask_mode"),
+        ({"epsilon": 0}, "epsilon"),
+        ({"epsilon": -1}, "epsilon"),
+        ({"variant": "C1", "n_classes": 1}, "n_classes"),
+    ], ids=["mask_mode=x", "epsilon=0", "epsilon=-1", "C1-n_classes=1"])
+    def test_bad_head_field_is_usage_error_naming_field(self, workspace, tmp_path, capsys,
+                                                        top, field):
+        self.assert_one_line_usage_error(workspace, tmp_path, capsys, "mean", top, {}, field)
+
     @staticmethod
     def assert_one_line_usage_error(workspace, tmp_path, capsys, kind, top, encoder, field):
         bad = tmp_path / "bad.json"

@@ -75,9 +75,8 @@ class TestExtractSnippets:
         b = extract_snippets(make_doc(2), att, ASPECTS, "Value")
         assert a == b
 
-    def test_render_bracket_format(self):
+    def test_snippet_record_fields(self):
         s = Snippet("d", 0, "the beach was fabulous", "Location", 0.9, 5.99, "highest")
-        assert s.render() == "the beach was fabulous [Location, 5.990]"
         rec = snippet_record(s)
         assert rec["score"] == 5.99
         assert rec["weight"] == 0.9

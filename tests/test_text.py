@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from saam.text import (
     read_corpus,
     split_corpus,
     split_sentences,
-    tokenize_and_split,
     write_corpus,
 )
 
@@ -36,7 +37,6 @@ class TestTokenization:
 
     def test_empty(self):
         assert split_sentences("") == []
-        assert tokenize_and_split("", Vocabulary()) == []
 
     def test_prefix_token_preserved(self):
         got = split_sentences("A: pours amber.")
@@ -45,7 +45,7 @@ class TestTokenization:
 
     def test_unknowns_map_to_unk(self):
         vocab = build_vocabulary(["good room"])
-        ids = tokenize_and_split("good stuff. spam!", vocab)
+        ids = [vocab.encode(tokens) for _, tokens in split_sentences("good stuff. spam!")]
         assert ids == [[vocab.id_for("good"), UNK_ID], [UNK_ID]]
 
     def test_no_split_on_inner_period(self):
@@ -80,6 +80,15 @@ class TestVocabulary:
         assert loaded.token_to_id == vocab.token_to_id
         assert loaded.counts == vocab.counts
         assert loaded.content_hash() == vocab.content_hash()
+
+    def test_content_hash_is_sha256_of_the_file_lines(self, tmp_path):
+        vocab = Vocabulary({"b": 3, "café": 2, "z": 4}, {"b": 1, "café": 7})
+        per_line = hashlib.sha256()
+        for line in ("café\t2\t7\n", "b\t3\t1\n", "z\t4\t0\n"):
+            per_line.update(line.encode("utf-8"))
+        assert vocab.content_hash() == per_line.digest()
+        vocab.save(tmp_path / "vocab.tsv")
+        assert hashlib.sha256((tmp_path / "vocab.tsv").read_bytes()).digest() == per_line.digest()
 
     def test_size_counts_reserved_ids(self):
         assert build_vocabulary(["a b"]).size == 4
@@ -175,7 +184,9 @@ class TestMakeBatch:
     def test_doc_sentences_roundtrip(self):
         doc = ReviewDocument("d", [[2, 3], [4]], ["x", "y"], 3.0, [3.0])
         batch = make_batch([doc], s_max=3, t_max=4)
-        assert batch.doc_sentences(0) == [[2, 3], [4]]
+        assert batch.sentence_mask[0].tolist() == [True, True, False]
+        assert [batch.token_ids[0, s][batch.token_mask[0, s]].tolist()
+                for s in range(2)] == [[2, 3], [4]]
 
 
 class TestSyntheticCorpus:
